@@ -7,8 +7,10 @@ Two claims the design makes, measured:
   the reason the hooks can stay in the production primitives (the TSan
   ship-it-in-the-compiler argument, in miniature).
 - Instrumented whole-program runs are cheap enough for an autograder
-  loop: one corpus twin instruments, executes, and reports in one
-  benchmark round.
+  loop: one corpus twin executes and reports in one benchmark round.
+  Instrumentation is memoized per ``(source, path)``, so only the first
+  round rewrites and compiles the twin; the rest measure execution and
+  detection.
 """
 
 from repro.sanitizers import Sanitizer, run_fixture

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import functools
 import threading
+import types
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -42,6 +44,25 @@ from repro.sanitizers.sanitizer import Sanitizer
 from repro.sanitizers.sites import AccessSite, call_site
 
 __all__ = ["RunResult", "run_source", "run_fixture", "run_program"]
+
+#: Distinct ``(source, path)`` pairs whose compiled code is kept.
+COMPILE_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compiled(
+    source: str, path: str
+) -> Tuple[types.CodeType, Tuple[str, ...]]:
+    """Instrument and compile ``source`` once per ``(source, path)``.
+
+    Sound because instrumentation is a pure function of the text and
+    the path (which becomes ``co_filename``, so findings keep their
+    path), and code objects are immutable: every run still executes in
+    a fresh namespace with its own runtime and event API.  A
+    ``SyntaxError`` propagates uncached.
+    """
+    tree, shared = instrument_source(source, filename=path)
+    return compile(tree, path, "exec"), tuple(sorted(shared))
 
 
 @dataclasses.dataclass
@@ -428,11 +449,8 @@ def run_source(
     runtime = _SanRuntime(detector, scheduler=scheduler)
     errors = runtime.errors
     value: Any = None
-    shared: Tuple[str, ...] = ()
     try:
-        tree, shared_set = instrument_source(source, filename=path)
-        shared = tuple(sorted(shared_set))
-        code = compile(tree, path, "exec")
+        code, shared = _compiled(source, path)
     except SyntaxError as exc:
         return RunResult(
             path=path, findings=[], suppressed=[],
@@ -562,7 +580,8 @@ def run_program(
     """Execute a multi-module program under PDC-San instrumentation.
 
     ``modules`` maps module name -> source.  Every module is rewritten
-    and compiled up front; an ``__import__`` hook hands instrumented
+    and compiled up front (through the same per-source memo as
+    :func:`run_source`); an ``__import__`` hook hands instrumented
     sibling modules (and the sanitized ``threading``) to whichever
     module asks, all sharing one detector, one runtime, and one
     happens-before history — so a thread spawned in ``main`` racing a
@@ -570,8 +589,6 @@ def run_program(
     (logical-thread) execution only; findings carry the per-module
     ``<name>.py`` path and honor that module's own suppression comments.
     """
-    import types
-
     san = sanitizer if sanitizer is not None else Sanitizer()
     detector = san.fasttrack
     runtime = _SanRuntime(detector)
@@ -584,15 +601,14 @@ def run_program(
         path = f"{name}.py"
         sources[path] = modules[name]
         try:
-            tree, shared_set = instrument_source(modules[name], filename=path)
-            codes[name] = compile(tree, path, "exec")
+            codes[name], shared = _compiled(modules[name], path)
         except SyntaxError as exc:
             return RunResult(
                 path=path, findings=[], suppressed=[],
                 errors=[f"syntax error: {exc}"], value=None, shared=(),
                 sanitizer=san,
             )
-        shared_all.extend(f"{name}.{s}" for s in sorted(shared_set))
+        shared_all.extend(f"{name}.{s}" for s in shared)
     if entry_module not in codes:
         raise ValueError(f"entry module {entry_module!r} not in program")
 

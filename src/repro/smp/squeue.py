@@ -44,6 +44,11 @@ class SynchronizedQueue(Generic[T]):
             raise ValueError("capacity must be positive or None")
         self.capacity = capacity
         self._items: Deque[T] = collections.deque()
+        # Producers (waiting for room) and consumers (waiting for an
+        # item) share this one condition, so every state change must
+        # notify_all: a single notify() can wake a waiter of the wrong
+        # kind, which re-waits and swallows the wakeup — two producers
+        # and two consumers on a capacity-1 queue then all sleep.
         self._cond = threading.Condition()
         self._closed = False
         self.total_put = 0
@@ -68,7 +73,7 @@ class SynchronizedQueue(Generic[T]):
             self.total_put += 1
             if len(self._items) > self.max_depth:
                 self.max_depth = len(self._items)
-            self._cond.notify()
+            self._cond.notify_all()
 
     def get(self, timeout: Optional[float] = None) -> T:
         """Dequeue the oldest item; blocks while empty.
@@ -85,7 +90,7 @@ class SynchronizedQueue(Generic[T]):
                 raise QueueClosed("queue closed and drained")
             item = self._items.popleft()
             self.total_got += 1
-            self._cond.notify()
+            self._cond.notify_all()
             return item
 
     def try_get(self) -> Optional[T]:
@@ -95,7 +100,7 @@ class SynchronizedQueue(Generic[T]):
                 return None
             item = self._items.popleft()
             self.total_got += 1
-            self._cond.notify()
+            self._cond.notify_all()
             return item
 
     def peek(self) -> Optional[T]:

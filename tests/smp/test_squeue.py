@@ -160,6 +160,35 @@ class TestConcurrency:
         t.join(10)
         assert out == list(range(50))
 
+    def test_capacity_one_mixed_waiters_make_progress(self):
+        # Two producers and two consumers on one slot: with a single
+        # notify() per state change a wakeup can reach a waiter of the
+        # wrong kind and be lost, and all four threads sleep.  Daemon
+        # threads with bounded joins keep a regression from hanging.
+        for _ in range(5):
+            q = SynchronizedQueue(capacity=1)
+            n = 200
+            got = []
+
+            def produce(base):
+                for i in range(n):
+                    q.put(base * n + i)
+
+            def consume():
+                for _ in range(n):
+                    got.append(q.get())
+
+            ts = [
+                threading.Thread(target=produce, args=(b,), daemon=True)
+                for b in range(2)
+            ]
+            ts += [threading.Thread(target=consume, daemon=True) for _ in range(2)]
+            for t in ts:
+                t.start()
+            for t in ts:
+                t.join(5)
+            assert sorted(got) == list(range(2 * n))
+
 
 @given(st.lists(st.integers(), max_size=64))
 @settings(max_examples=100, deadline=None)

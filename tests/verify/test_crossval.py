@@ -15,6 +15,8 @@ Over the runnable twin corpus:
 
 import json
 
+import pytest
+
 from repro.verify.crossval import (
     cross_validate_checker,
     render_verify_crossval_text,
@@ -22,43 +24,46 @@ from repro.verify.crossval import (
 )
 
 
+@pytest.fixture(scope="module")
+def report():
+    """One cross-validation run, shared: every test below only reads it."""
+    return cross_validate_checker(mode="dpor")
+
+
 class TestCrossValidation:
-    def setup_method(self):
-        self.report = cross_validate_checker(mode="dpor")
+    def test_every_invariant_holds(self, report):
+        assert report.all_ok, render_verify_crossval_text(report)
 
-    def test_every_invariant_holds(self):
-        assert self.report.all_ok, render_verify_crossval_text(self.report)
-
-    def test_every_single_run_finding_is_checker_reachable(self):
-        assert self.report.unreachable == []
-        for verdict in self.report.verdicts:
+    def test_every_single_run_finding_is_checker_reachable(self, report):
+        assert report.unreachable == []
+        for verdict in report.verdicts:
             assert verdict.reachable_ok, verdict.name
 
-    def test_both_twin_false_positives_are_exonerated(self):
-        assert self.report.exonerated == [
+    def test_both_twin_false_positives_are_exonerated(self, report):
+        assert report.exonerated == [
             "forkjoin_handoff_twin",
             "lock_handoff_twin",
         ]
 
-    def test_exoneration_requires_exhaustion(self):
+    def test_exoneration_requires_exhaustion(self, report):
         # An exonerated fixture's verdict really was proved (or carries
         # the machine-readable bound annotation) — never a lucky miss.
-        by_name = {v.name: v for v in self.report.verdicts}
+        by_name = {v.name: v for v in report.verdicts}
         assert by_name["forkjoin_handoff_twin"].complete
         assert "PDC301" not in by_name["forkjoin_handoff_twin"].checker_rules
         assert "PDC101" in by_name["forkjoin_handoff_twin"].static_rules
 
-    def test_stats_are_recorded_per_fixture(self):
-        assert self.report.total_explored > 0
-        assert self.report.total_pruned > 0
-        for verdict in self.report.verdicts:
+    def test_stats_are_recorded_per_fixture(self, report):
+        assert report.total_explored > 0
+        assert report.total_pruned > 0
+        for verdict in report.verdicts:
             assert verdict.schedules_explored >= 1, verdict.name
 
-    def test_report_serializes(self):
-        blob = json.dumps(self.report.to_dict())
+    def test_report_serializes(self, report):
+        blob = json.dumps(report.to_dict())
         parsed = json.loads(blob)
         assert parsed["all_ok"] is True
-        assert len(parsed["fixtures"]) == len(self.report.verdicts)
+        assert len(parsed["fixtures"]) == len(report.verdicts)
 
 
 class TestCrossvalCli:
