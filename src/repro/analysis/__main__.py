@@ -50,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--crossval",
         action="store_true",
         help=(
-            "validate whole-program findings against the dynamic "
-            "sanitizer on the cross-module twin corpus "
-            "(requires --whole-program)"
+            "print the fixture x rung cross-validation matrix (every "
+            "corpus fixture against lint, whole-program, sanitizer and "
+            "checker; requires --whole-program)"
         ),
     )
     engine_cli.add_engine_args(parser)

@@ -314,6 +314,20 @@ def _drive(
     return report.exit_code
 
 
+def _crossval(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    mode: str = "dpor",
+    stats_path: Optional[str] = None,
+) -> int:
+    """Every tool's ``--crossval``: the one fixture × rung matrix."""
+    if args.format == "sarif":
+        parser.error("--crossval supports text and json only")
+    from repro.verify.crossval import run_crossval_cli
+
+    return run_crossval_cli(args.format, mode=mode, stats_path=stats_path)
+
+
 def run_lint(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> int:
@@ -328,11 +342,7 @@ def run_lint(
     if getattr(args, "crossval", False):
         if not whole_program:
             parser.error("--crossval requires --whole-program")
-        if args.format == "sarif":
-            parser.error("--crossval supports text and json only")
-        from repro.analysis.ip.crossval import run_ip_crossval_cli
-
-        return run_ip_crossval_cli(args.format)
+        return _crossval(parser, args)
     if not args.paths:
         parser.error("no paths given (or use --list-rules)")
     units, pre_errors = expand_paths(args.paths)
@@ -355,11 +365,7 @@ def run_san(
         _print_report(pass_.rule_table())
         return 0
     if args.crossval:
-        if args.format == "sarif":
-            parser.error("--crossval supports text and json only")
-        from repro.sanitizers.crossval import run_crossval_cli
-
-        return run_crossval_cli(args.format)
+        return _crossval(parser, args)
     if not (args.paths or args.fixture or args.corpus):
         parser.error(
             "nothing to run (give paths, --fixture, --corpus, or --crossval)"
@@ -413,12 +419,8 @@ def run_verify(
         print(f"schedule: {run.schedule}")
         return run.exit_code
     if args.crossval:
-        if args.format == "sarif":
-            parser.error("--crossval supports text and json only")
-        from repro.verify.crossval import run_verify_crossval_cli
-
-        return run_verify_crossval_cli(
-            args.format, mode=args.mode, stats_path=args.stats_json
+        return _crossval(
+            parser, args, mode=args.mode, stats_path=args.stats_json
         )
     if not (args.paths or args.fixture or args.corpus):
         parser.error(

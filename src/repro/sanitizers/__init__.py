@@ -21,9 +21,10 @@ All dynamic findings flow through the *same*
 :class:`repro.analysis.report.Finding` model and renderers as the static
 PDC1xx/2xx findings — one pipeline, two analyses, directly comparable.
 The ``pdc-san`` CLI (:mod:`.__main__`) runs a target module or the twin
-corpus under instrumentation; :mod:`.crossval` runs the corpus under
-*both* analyzers and emits the static-vs-dynamic precision/recall table
-(FastTrack exonerating Eraser's lockset false positives).
+corpus under instrumentation; its ``--crossval`` prints the ladder's one
+fixture × rung matrix (:mod:`repro.verify.crossval`), whose
+static-vs-dynamic precision/recall rows show FastTrack exonerating
+Eraser's lockset false positives.
 
 This ``__init__`` stays import-light on purpose: the ``smp``/``net``
 primitives import :mod:`.hooks` at module load, and eagerly importing
@@ -33,7 +34,6 @@ the detector stack here would create a cycle back through ``smp``.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sanitizers.crossval import CrossReport, cross_validate
     from repro.sanitizers.fasttrack import DynamicRace, FastTrackDetector
     from repro.sanitizers.runner import RunResult, run_fixture, run_source
     from repro.sanitizers.sanitizer import Sanitizer
@@ -45,8 +45,6 @@ __all__ = [
     "run_source",
     "run_fixture",
     "RunResult",
-    "cross_validate",
-    "CrossReport",
 ]
 
 _LAZY = {
@@ -56,8 +54,6 @@ _LAZY = {
     "run_source": "repro.sanitizers.runner",
     "run_fixture": "repro.sanitizers.runner",
     "RunResult": "repro.sanitizers.runner",
-    "cross_validate": "repro.sanitizers.crossval",
-    "CrossReport": "repro.sanitizers.crossval",
 }
 
 

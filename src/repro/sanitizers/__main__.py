@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run every runnable fixture in the twin corpus")
     parser.add_argument(
         "--crossval", action="store_true",
-        help="static-vs-dynamic cross-validation table over the corpus",
+        help="fixture x rung cross-validation matrix over the corpus",
     )
     engine_cli.add_engine_args(parser)
     return parser

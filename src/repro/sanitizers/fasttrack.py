@@ -31,8 +31,8 @@ back.
 The payoff over lockset analysis is *precision*: a program ordered by
 fork/join handoff or by passing data through different locks over time
 is provably race-free here, while Eraser-style analysis flags it.  The
-twin corpus pins both sides of that comparison (see
-:mod:`repro.sanitizers.crossval`).
+twin corpus pins both sides of that comparison (see the
+cross-validation matrix, :mod:`repro.verify.crossval`).
 """
 
 from __future__ import annotations

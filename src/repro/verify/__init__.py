@@ -10,10 +10,10 @@ the FastTrack happens-before clocks, plus sleep sets) prunes the
 interleavings that only differ in independent steps.
 
 Any failing interleaving serializes to a one-line token
-(:mod:`.token`) that replays byte-identically, the twin corpus is
-cross-validated schedule-exhaustively (:mod:`.crossval`), and disjoint
-schedule subtrees fan out across a process pool
-(:func:`.explorer.explore_fixture` with ``split``).
+(:mod:`.token`) that replays byte-identically, the checker is the top
+column of the ladder's one fixture × rung cross-validation matrix
+(:mod:`.crossval`), and disjoint schedule subtrees fan out across a
+process pool (:func:`.explorer.explore_fixture` with ``split``).
 """
 
 from repro.verify.explorer import (

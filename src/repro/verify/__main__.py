@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "and print its findings")
     parser.add_argument(
         "--crossval", action="store_true",
-        help="checker-vs-sanitizer invariants over the corpus: "
+        help="fixture x rung cross-validation matrix over the corpus: "
              "reachability of every single-run finding, machine-checked "
              "exonerations, per-fixture explored/pruned stats",
     )

@@ -1,20 +1,25 @@
-"""The interprocedural crossval gate: static lift vs dynamic truth.
+"""The whole-program column of the cross-validation matrix.
 
 The multi-file twin corpus carries three machine-checkable ground
-truths per fixture; this suite pins the corpus-level claims the issue
-demands: the racy pair's cross-module PDC101 is confirmed dynamically,
-the handoff pair's is exonerated by fork/join happens-before, and
-single-file mode provably misses both.
+truths per fixture (per-file lint, whole-program lint, one sanitizer
+run); these tests pin the corpus-level claims: the racy pair's
+cross-module PDC101 is confirmed dynamically, the handoff pair's is
+exonerated by fork/join happens-before, and per-file mode provably
+misses both.
 """
 
 import json
 
-from repro.analysis.ip.crossval import (
-    cross_validate_ip,
-    render_ip_crossval_text,
-    run_ip_crossval_cli,
-)
+import pytest
+
 from repro.smp.fixtures import all_multifile_fixtures
+from repro.verify.crossval import render_matrix_text, run_crossval_cli
+
+
+@pytest.fixture(scope="module")
+def programs(crossval_matrix):
+    """The matrix's multi-file rows."""
+    return [row for row in crossval_matrix.rows if row.multifile]
 
 
 class TestCorpus:
@@ -25,36 +30,46 @@ class TestCorpus:
             assert len(fix.files) >= 2, fix.name
             assert fix.entry_module in fix.modules(), fix.name
 
-    def test_all_three_analyses_match_ground_truth(self):
-        report = cross_validate_ip()
-        assert report.all_ok, json.dumps(report.to_dict(), indent=2)
+    def test_all_three_analyses_match_ground_truth(self, programs):
+        assert [row.name for row in programs] == [
+            fix.name for fix in all_multifile_fixtures()
+        ]
+        for row in programs:
+            assert set(row.checks) == {"lint", "whole_program", "sanitize"}
+            assert row.ok, json.dumps(row.to_dict(), indent=2)
 
-    def test_racy_pair_is_dynamically_confirmed(self):
-        report = cross_validate_ip()
-        assert "crossmod_racy_pair" in report.confirmed
+    def test_racy_pair_is_dynamically_confirmed(self, crossval_matrix):
+        assert "crossmod_racy_pair" in crossval_matrix.confirmed
 
-    def test_handoff_pair_is_dynamically_exonerated(self):
-        report = cross_validate_ip()
-        assert "crossmod_handoff_pair" in report.exonerated
+    def test_handoff_pair_is_dynamically_exonerated(self, crossval_matrix):
+        assert "crossmod_handoff_pair" in crossval_matrix.exonerated["sanitize"]
 
-    def test_single_file_mode_misses_the_lift(self):
+    def test_single_file_mode_misses_the_lift(self, programs):
         # The load-bearing claim: no fixture's bug is visible per-file.
-        for v in cross_validate_ip().verdicts:
-            assert v.lift_is_load_bearing, v.name
-            assert "PDC101" not in v.single_file_rules, v.name
-            assert "PDC101" in v.whole_program_rules, v.name
+        for row in programs:
+            lift = row.expect["whole_program"] - row.cells["lint"]
+            assert lift, row.name
+            assert "PDC101" not in row.cells["lint"], row.name
+            assert "PDC101" in row.cells["whole_program"], row.name
 
 
 class TestRendering:
-    def test_text_table_names_the_verdicts(self):
-        text = render_ip_crossval_text(cross_validate_ip())
-        assert "ok (confirmed)" in text
-        assert "ok (exonerated)" in text
-        assert "all ok: True" in text
+    def test_text_table_names_the_verdicts(self, crossval_matrix):
+        lines = render_matrix_text(crossval_matrix).splitlines()
+        verdicts = {line.split()[0]: line for line in lines if line}
+        assert verdicts["crossmod_racy_pair"].endswith("ok CONFIRMED")
+        assert verdicts["crossmod_handoff_pair"].endswith(
+            "ok EXONERATED:sanitize"
+        )
+        assert "all ok: True" in lines
 
     def test_cli_exit_codes_and_json(self, capsys):
-        assert run_ip_crossval_cli("json") == 0
+        assert run_crossval_cli("json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_ok"] is True
         assert payload["confirmed"] == ["crossmod_racy_pair"]
-        assert payload["exonerated"] == ["crossmod_handoff_pair"]
+        multifile = {row["name"] for row in payload["rows"] if row["multifile"]}
+        assert [
+            name for name in payload["exonerated"]["sanitize"]
+            if name in multifile
+        ] == ["crossmod_handoff_pair"]

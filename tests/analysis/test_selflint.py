@@ -7,24 +7,30 @@ documented limitation to suppress inline — never left dangling.
 
 import os
 
+import pytest
+
 from repro.analysis import analyze_paths
 from repro.analysis.report import parse_suppressions
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
 
 
+@pytest.fixture(scope="module")
+def result():
+    """One lint of the tree, read by both tests below."""
+    return analyze_paths([os.path.normpath(SRC)])
+
+
 class TestSelfLint:
-    def test_src_repro_is_clean(self):
-        result = analyze_paths([os.path.normpath(SRC)])
+    def test_src_repro_is_clean(self, result):
         assert result.errors == []
         assert result.findings == [], "\n".join(
             f"{f.location()}: {f.rule} {f.message}" for f in result.findings
         )
         assert result.exit_code == 0
 
-    def test_the_walk_actually_found_the_tree(self):
+    def test_the_walk_actually_found_the_tree(self, result):
         """Guard against a path typo making the clean run vacuous."""
-        result = analyze_paths([os.path.normpath(SRC)])
         assert result.files > 50
 
     def test_suppressions_are_justified(self):

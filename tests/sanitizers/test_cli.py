@@ -94,7 +94,7 @@ class TestCrossvalMode:
         assert main(["--crossval", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_ok"] is True
-        assert "forkjoin_handoff_twin" in payload["exonerated"]
+        assert "forkjoin_handoff_twin" in payload["exonerated"]["sanitize"]
 
     def test_sarif_is_rejected_for_crossval(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,70 +1,76 @@
-"""The static-vs-dynamic cross-validation over the twin corpus.
+"""The static-vs-dynamic columns of the cross-validation matrix.
 
-This is the PR's measurement claim, pinned as a snapshot: the lockset
-analysis (PDC101) over-approximates, FastTrack (PDC301) exonerates the
-known false positives, and both agree with the corpus ground truth on
-every fixture.
+The measurement claim, pinned as a snapshot over the twin rows: the
+lockset analysis (lint's PDC101) over-approximates, FastTrack (the
+sanitize rung's PDC301) exonerates the known false positives, and both
+agree with the corpus ground truth on every fixture.
 """
 
 import pytest
 
-from repro.sanitizers.crossval import (
+from repro.verify.crossval import (
     ConfusionMatrix,
-    cross_validate,
-    render_crossval_text,
+    build_matrix,
+    render_matrix_text,
 )
 
 
 @pytest.fixture(scope="module")
-def report():
-    return cross_validate()
+def matrix(crossval_matrix):
+    return crossval_matrix
+
+
+def _twins(matrix):
+    return [row for row in matrix.rows if not row.multifile]
 
 
 class TestGroundTruthAgreement:
-    def test_every_fixture_matches_expectations(self, report):
+    def test_every_fixture_matches_expectations(self, matrix):
         bad = [
-            v.name
-            for v in report.verdicts
-            if not (v.static_ok and v.dynamic_ok)
+            row.name
+            for row in _twins(matrix)
+            if not (row.checks["lint"] and row.checks.get("sanitize", True))
         ]
         assert bad == []
-        assert report.all_ok
+        assert matrix.all_ok
 
-    def test_unexecuted_fixtures_pass_vacuously(self, report):
-        not_run = [v for v in report.verdicts if not v.executed]
+    def test_unexecuted_fixtures_pass_vacuously(self, matrix):
+        not_run = [r for r in _twins(matrix) if r.cells["sanitize"] is None]
         assert not_run  # the corpus does contain non-runnable fixtures
-        assert all(v.dynamic_ok for v in not_run)
+        for row in not_run:
+            assert "sanitize" not in row.checks and row.ok, row.name
+            assert row.cells["verify"] is None, row.name
 
 
 class TestExoneration:
-    def test_fasttrack_clears_the_lockset_false_positives(self, report):
-        assert "forkjoin_handoff_twin" in report.exonerated
-        assert "lock_handoff_twin" in report.exonerated
+    def test_fasttrack_clears_the_lockset_false_positives(self, matrix):
+        assert "forkjoin_handoff_twin" in matrix.exonerated["sanitize"]
+        assert "lock_handoff_twin" in matrix.exonerated["sanitize"]
 
-    def test_exonerated_fixtures_were_statically_flagged(self, report):
-        by_name = {v.name: v for v in report.verdicts}
-        for name in report.exonerated:
-            v = by_name[name]
-            assert "PDC101" in v.static_rules
-            assert v.known_false_positive
-            assert "PDC301" not in v.dynamic_rules
+    def test_exonerated_fixtures_were_statically_flagged(self, matrix):
+        by_name = {row.name: row for row in matrix.rows}
+        for name in matrix.exonerated["sanitize"]:
+            row = by_name[name]
+            assert "PDC101" in row.static_rules
+            assert row.known_false_positive
+            assert "PDC301" not in row.cells["sanitize"]
 
 
 class TestConfusionMatrices:
-    def test_static_matrix_snapshot(self, report):
-        m = report.static_races
+    def test_static_matrix_snapshot(self, matrix):
+        m = matrix.static_races
         assert (m.tp, m.fp, m.fn, m.tn) == (1, 3, 0, 15)
         assert m.recall == 1.0
         assert m.precision == pytest.approx(0.25)
 
-    def test_dynamic_matrix_snapshot(self, report):
-        m = report.dynamic_races
+    def test_dynamic_matrix_snapshot(self, matrix):
+        m = matrix.dynamic_races
         assert (m.tp, m.fp, m.fn, m.tn) == (1, 2, 0, 7)
         assert m.recall == 1.0
 
-    def test_fasttrack_is_more_precise_than_the_lockset(self, report):
+    def test_fasttrack_is_more_precise_than_the_lockset(self, matrix):
         assert (
-            report.dynamic_races.precision > report.static_races.precision
+            matrix.dynamic_races.precision > matrix.static_races.precision
         )
 
     def test_empty_matrix_degenerates_to_perfect_scores(self):
@@ -73,21 +79,21 @@ class TestConfusionMatrices:
 
 
 class TestDeterminismAndRendering:
-    def test_cross_validation_is_reproducible(self, report):
-        assert cross_validate().to_dict() == report.to_dict()
+    def test_cross_validation_is_reproducible(self, matrix):
+        assert build_matrix().to_dict() == matrix.to_dict()
 
-    def test_text_table_shows_the_verdict_columns(self, report):
-        text = render_crossval_text(report)
-        assert "fixture" in text and "static" in text and "dynamic" in text
+    def test_text_table_shows_the_verdict_columns(self, matrix):
+        text = render_matrix_text(matrix)
+        assert "fixture" in text and "lint" in text and "sanitize" in text
         assert "EXONERATED" in text
-        assert "MISMATCH" not in text
+        assert "FAIL" not in text
         assert "precision=" in text and "recall=" in text
 
-    def test_json_payload_is_self_describing(self, report):
-        payload = report.to_dict()
+    def test_json_payload_is_self_describing(self, matrix):
+        payload = matrix.to_dict()
         assert payload["all_ok"] is True
-        assert set(payload["exonerated"]) >= {
+        assert set(payload["exonerated"]["sanitize"]) >= {
             "forkjoin_handoff_twin", "lock_handoff_twin",
         }
-        names = {f["name"] for f in payload["fixtures"]}
+        names = {row["name"] for row in payload["rows"]}
         assert "racy_counter_twin" in names
