@@ -39,9 +39,10 @@ class Clock(abc.ABC):
     ) -> bool:
         """Wait on an already-held ``condition`` up to ``timeout`` seconds.
 
-        Returns ``True`` if notified, ``False`` on timeout — the
+        Returns ``False`` on timeout and ``True`` otherwise — the
         ``Condition.wait`` contract, but with the timeout interpreted in
-        this clock's time.
+        this clock's time.  As with ``Condition.wait``, ``True`` may be a
+        spurious wakeup: callers re-check the predicate they wait for.
         """
         return condition.wait(timeout)
 
@@ -68,11 +69,16 @@ class VirtualClock(Clock):
     test's throttle.  ``wait_on`` polls the condition in short *real* time
     slices while watching the *virtual* deadline, so "timed out" is a
     property of simulated time — two runs see identical timeout behaviour
-    regardless of machine load.
+    regardless of machine load.  After a real second of idle slices it
+    reports a wakeup, so a notify lost to a timed-out slice costs that
+    second rather than a hang.
     """
 
     #: Real-time slice used to poll conditions while virtual time is frozen.
     _POLL_SLICE = 0.02
+    #: Timed-out slices (one real second) after which ``wait_on`` reports
+    #: a wakeup even though none was seen.
+    _IDLE_SLICES = 50
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
@@ -102,11 +108,17 @@ class VirtualClock(Clock):
         if timeout is None:
             return condition.wait(None)
         deadline = self.now() + timeout
-        while True:
+        for _ in range(self._IDLE_SLICES):
             if condition.wait(self._POLL_SLICE):
                 return True
             if self.now() >= deadline:
                 return False
+        # A timed ``Condition.wait`` can consume a ``notify`` that lands
+        # just as it times out and still report a timeout; with virtual
+        # time frozen, nothing else would end this wait.  Report a
+        # (possibly spurious) wakeup instead: callers re-check their
+        # predicate, as they must after any ``Condition.wait``.
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self.now()})"

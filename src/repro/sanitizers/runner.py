@@ -32,9 +32,7 @@ import dataclasses
 import functools
 import threading
 import types
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Finding, apply_suppressions
 from repro.sanitizers.fasttrack import FastTrackDetector
@@ -359,27 +357,45 @@ class _SanRuntime:
         self.detector.release(lock)
 
     def order_findings(self) -> List[Finding]:
-        """PDC302 findings for cycles in the observed lock order.
-
-        ``nx.simple_cycles`` yields each cycle in an arbitrary rotation
-        (and order) that varies with the per-process hash seed; cycles
-        are canonicalized — rotated to start at their smallest lock,
-        then sorted — so the same run always reports the same finding.
-        """
-        graph = nx.DiGraph()
-        graph.add_edges_from(self.lock_edges)
-        cycles = []
-        for cycle in nx.simple_cycles(graph):
-            pivot = min(range(len(cycle)), key=cycle.__getitem__)
-            cycles.append(cycle[pivot:] + cycle[:pivot])
+        """PDC302 findings for cycles in the observed lock order, each
+        reported once, in canonical rotation and sorted order, so the
+        same run always reports the same findings."""
         findings = []
-        for cycle in sorted(cycles):
+        for cycle in _lock_cycles(self.lock_edges):
             edge = (cycle[0], cycle[1 % len(cycle)])
             site = self.lock_edges.get(
                 edge, next(iter(self.lock_edges.values()))
             )
             findings.append(lock_order_finding(cycle, site))
         return findings
+
+
+def _lock_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
+    """Every elementary cycle of the directed graph ``edges``, each
+    rotated to start at its smallest node, in sorted order.
+
+    Each cycle is found exactly once, from its smallest node, by a
+    depth-first walk that visits only larger nodes; a self-loop is the
+    one-node cycle.  Lock-order graphs have a handful of edges, so the
+    walk is cheaper than building a general graph per run.
+    """
+    succ: Dict[str, List[str]] = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
+    cycles: List[List[str]] = []
+
+    def walk(start: str, path: List[str]) -> None:
+        for nxt in succ.get(path[-1], ()):
+            if nxt == start:
+                cycles.append(list(path))
+            elif nxt > start and nxt not in path:
+                path.append(nxt)
+                walk(start, path)
+                path.pop()
+
+    for start in succ:
+        walk(start, [start])
+    return sorted(cycles)
 
 
 class _SanThreading:

@@ -2,24 +2,28 @@
 
 The sanitizer runner's inline mode executes each logical thread to
 completion — exactly one schedule.  In *scheduled* mode every hook
-event becomes a **decision point**: the running task publishes the
-operation it is about to perform and parks; the driver (the thread
-that called :meth:`ReplayScheduler.run`) picks which enabled task runs
-next — from a replayed prefix first, then a fixed default policy — and
-hands it the baton.  Exactly one task ever runs between decisions, so
-the execution is a pure function of the choice sequence: the property
-that makes stateless model checking (re-execute from scratch under a
-different prefix) and token replay (same prefix ⇒ byte-identical
-findings) both work.
+event becomes a **decision point**, and there is no driver thread: the
+task that reaches one publishes the operation it is about to perform
+and, under the scheduler's one lock, makes the next choice itself —
+from a replayed prefix first, then a fixed default policy.  If it
+picks itself it simply continues; otherwise it hands the baton to
+exactly the chosen task and parks.  A finishing task makes the choice
+for its successor the same way.  Exactly one task ever runs between
+decisions, so the execution is a pure function of the choice sequence:
+the property that makes stateless model checking (re-execute from
+scratch under a different prefix) and token replay (same prefix ⇒
+byte-identical findings) both work.  The thread that called
+:meth:`ReplayScheduler.run` only starts the root task and waits for
+whichever task ends the run.
 
 Blocking is real here, unlike in the inline runner: a lock acquire on
 a held lock, a join on an unfinished task, a wait on an unset event, a
 semaphore at zero, a non-final barrier arrival — all *disable* the
 task until the state changes.  When every live task is disabled the
-program has genuinely deadlocked, and the driver reports the wait-for
-cycle instead of hanging.  Per-task step caps bound busy-wait loops
-(the schedules a spin admits are infinite; the checker explores them
-up to the bound and counts the truncation honestly).
+program has genuinely deadlocked, and the choosing task reports the
+wait-for cycle instead of hanging.  Per-task step caps bound busy-wait
+loops (the schedules a spin admits are infinite; the checker explores
+them up to the bound and counts the truncation honestly).
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ _NONBLOCKING = frozenset({
     "resume", "cond_wait",
 })
 
-_WAIT_TIMEOUT = 30.0  # seconds; a stuck OS thread is a checker bug, not a hang
+#: Seconds without a recorded choice before a run is declared stuck: a
+#: task that never reaches a decision point is a checker bug, not a hang.
+_WAIT_TIMEOUT = 30.0
 
 
 class SchedulerError(RuntimeError):
@@ -145,7 +151,14 @@ class ReplayScheduler:
         self.detector: Any = None  # FastTrackDetector, set by the runner
         self._tasks: List[_Task] = []
         self._local = threading.local()
-        self._driver_sem = threading.Semaphore(0)
+        #: Guards every piece of shared state below: whichever task makes
+        #: a choice holds it for the whole decision.
+        self._lock = threading.Lock()
+        #: Released once, by the task that ends the run.
+        self._done = threading.Semaphore(0)
+        self._over = False
+        #: An exception raised while choosing, re-raised by :meth:`run`.
+        self._error: Optional[Exception] = None
         self._lock_owner: Dict[str, Optional[int]] = {}
         self._sem_count: Dict[str, int] = {}
         self._evt_set: Set[str] = set()
@@ -181,9 +194,10 @@ class ReplayScheduler:
 
     def spawn(self, name: str, fn: Callable[[], None], det_tid: int) -> _Task:
         """Register a new logical thread (it runs only when chosen)."""
-        task = _Task(len(self._tasks), name, fn)
-        task.det_tid = det_tid
-        self._tasks.append(task)
+        with self._lock:
+            task = _Task(len(self._tasks), name, fn)
+            task.det_tid = det_tid
+            self._tasks.append(task)
         task.thread = threading.Thread(
             target=self._task_body, args=(task,), name=name, daemon=True
         )
@@ -199,32 +213,29 @@ class ReplayScheduler:
         self._decision("acquire", key)
 
     def lock_release(self, lock: object) -> None:
-        key = self._key("lock", lock)
-        self._decision("release", key)
-        self._lock_owner[key] = None
+        self._decision("release", self._key("lock", lock))
 
     def sem_init(self, sem: object, value: int) -> None:
-        self._sem_count[self._key("sem", sem)] = value
+        key = self._key("sem", sem)
+        with self._lock:
+            self._sem_count[key] = value
 
     def sem_wait(self, sem: object) -> None:
         self._decision("sem_wait", self._key("sem", sem))
 
     def sem_post(self, sem: object) -> None:
-        key = self._key("sem", sem)
-        self._decision("sem_post", key)
-        self._sem_count[key] = self._sem_count.get(key, 0) + 1
+        self._decision("sem_post", self._key("sem", sem))
 
     def event_set(self, event: object) -> None:
-        key = self._key("evt", event)
-        self._decision("evt_set", key)
-        self._evt_set.add(key)
+        self._decision("evt_set", self._key("evt", event))
 
     def event_wait(self, event: object) -> None:
         self._decision("evt_wait", self._key("evt", event))
 
     def barrier_wait(self, barrier: object, parties: int) -> None:
         key = self._key("barrier", barrier)
-        self._barrier_parties[key] = parties
+        with self._lock:
+            self._barrier_parties[key] = parties
         self._decision("barrier", key)
 
     def join(self, target: "_Task") -> None:
@@ -232,22 +243,24 @@ class ReplayScheduler:
 
     # -- task side ---------------------------------------------------------
     def _task_body(self, task: _Task) -> None:
-        task.sem.acquire()  # first resume: the scheduler chose "begin"
+        task.sem.acquire()  # run() starts the root; a chosen "begin" the rest
         if task.abort:
             return
         if self.detector is not None and task.det_tid is not None:
             self.detector.bind(task.det_tid)
         self._local.task = task
-        task.state = "running"
         try:
             task.fn()
         except _AbortRun:
             pass
-        except BaseException as exc:  # noqa: BLE001 - surfaced by the driver
-            self.trace.crashes.append((task.name, exc))
+        except BaseException as exc:  # noqa: BLE001 - reported in the trace
+            with self._lock:
+                self.trace.crashes.append((task.name, exc))
         finally:
-            task.state = "done"
-            self._driver_sem.release()
+            # The finishing task chooses its successor.
+            chosen = self._hand_off(task, "done")
+            if chosen is not None:
+                chosen.sem.release()
 
     def _decision(self, kind: str, key: str) -> None:
         task = self.current_task()
@@ -255,14 +268,45 @@ class ReplayScheduler:
             # The run is over and this task is unwinding; a decision hit
             # inside a ``finally`` must not park again (nobody resumes).
             raise _AbortRun()
-        task.pending = (kind, key)
-        task.site = call_site(task.name)
-        task.state = "parked"
-        self._driver_sem.release()
-        task.sem.acquire()
-        task.state = "running"
-        if task.abort:
+        # Only a blocked task's site is ever read (deadlock reports), and
+        # a blocked task's last decision is always a blocking one.
+        site = None if kind in _NONBLOCKING else call_site(task.name)
+        chosen = self._hand_off(task, "parked", (kind, key), site)
+        if chosen is task:
+            return
+        if chosen is not None:
+            chosen.sem.release()
+            task.sem.acquire()
+        if chosen is None or task.abort:
             raise _AbortRun()
+
+    def _hand_off(
+        self,
+        task: _Task,
+        state: str,
+        pending: Optional[Tuple[str, str]] = None,
+        site: Optional[AccessSite] = None,
+    ) -> Optional[_Task]:
+        """Publish ``task``'s new state and make the next choice on the
+        calling thread.  Returns the task to run next (already marked
+        running), or ``None`` once the run is over."""
+        with self._lock:
+            task.state = state
+            if pending is not None:
+                task.pending = pending
+            if site is not None:
+                task.site = site
+            if self._over:
+                return None
+            try:
+                chosen = self._choose()
+            except Exception as exc:  # noqa: BLE001 - re-raised by run()
+                self._error = exc
+                chosen = None
+            if chosen is None:
+                self._over = True
+                self._done.release()
+            return chosen
 
     # -- enabledness -------------------------------------------------------
     def _enabled(self, task: _Task) -> bool:
@@ -292,6 +336,12 @@ class ReplayScheduler:
         kind, key = task.pending
         if kind == "acquire":
             self._lock_owner[key] = task.index
+        elif kind == "release":
+            self._lock_owner[key] = None
+        elif kind == "sem_post":
+            self._sem_count[key] = self._sem_count.get(key, 0) + 1
+        elif kind == "evt_set":
+            self._evt_set.add(key)
         elif kind == "sem_wait":
             self._sem_count[key] = self._sem_count.get(key, 0) - 1
         elif kind == "barrier":
@@ -334,7 +384,7 @@ class ReplayScheduler:
                 return [self._tasks[i].name for i in cycle]
         return sorted(t.name for t in blocked)
 
-    # -- the driver --------------------------------------------------------
+    # -- choosing ----------------------------------------------------------
     def run(self, root_fn: Callable[[], None], root_name: str = "main") -> ScheduleTrace:
         """Execute ``root_fn`` (and every task it spawns) to completion,
         scheduling one task per decision.  Returns the trace."""
@@ -346,59 +396,76 @@ class ReplayScheduler:
             root_tid = self.detector.fork_child(name=root_name)
         root = _Task(0, root_name, root_fn)
         root.det_tid = root_tid
-        self._tasks.append(root)
+        root.state = "running"
+        with self._lock:
+            self._tasks.append(root)
         root.thread = threading.Thread(
             target=self._task_body, args=(root,), name=root_name, daemon=True
         )
         root.thread.start()
-        current: Optional[_Task] = None
         try:
-            self._resume(root)
-            current = root
-            while True:
-                if not self._driver_sem.acquire(timeout=_WAIT_TIMEOUT):
-                    raise SchedulerError(
-                        f"task {current.name if current else '?'} stopped "
-                        "responding (missed decision point?)"
-                    )
-                live = [t for t in self._tasks if t.state != "done"]
-                if not live:
-                    break
-                # "new" tasks (spawned, never yet chosen) park inside
-                # their OS thread waiting for a first resume; they are
-                # schedulable exactly like parked ones.
-                parked = [t for t in live if t.state in ("parked", "new")]
-                enabled = [t for t in parked if self._enabled(t)]
-                if not enabled:
-                    blocked = parked
-                    cycle = self._wait_cycle(blocked)
-                    # Report the site of a task *in* the cycle (their
-                    # frames point at fixture lines; the root task's
-                    # join frame would point into the runner plumbing).
-                    in_cycle = set(cycle)
-                    site = min(
-                        (
-                            t.site for t in blocked
-                            if t.site is not None and t.name in in_cycle
-                        ),
-                        default=AccessSite("<scheduler>", 0),
-                    )
-                    self.trace.deadlock = (cycle, site)
-                    break
-                chosen = self._pick(enabled)
-                if chosen is None:  # strict replay ran out of schedule
-                    break
-                if chosen.steps >= self.max_steps_per_task:
-                    self.trace.truncated = True
-                    break
-                chosen.steps += 1
-                self._record(chosen, enabled)
-                self._apply(chosen)
-                current = chosen
-                self._resume(chosen)
+            root.sem.release()
+            self._await_end()
         finally:
             self._abort_all()
+        with self._lock:
+            error = self._error
+        if error is not None:
+            raise error
         return self.trace
+
+    def _await_end(self) -> None:
+        """Block until some task ends the run; raise if no choice is
+        recorded during a whole ``_WAIT_TIMEOUT`` window."""
+        seen = 0
+        while not self._done.acquire(timeout=_WAIT_TIMEOUT):
+            with self._lock:
+                made = len(self.trace.choices)
+                running = [t.name for t in self._tasks if t.state == "running"]
+            if made == seen:
+                raise SchedulerError(
+                    f"task {running[0] if running else '?'} stopped "
+                    "responding (missed decision point?)"
+                )
+            seen = made
+
+    def _choose(self) -> Optional[_Task]:
+        """One decision (caller holds ``self._lock``): the chosen task,
+        or ``None`` when the run ends here."""
+        # The chooser has just parked or finished, so every live task is
+        # parked or "new" (spawned, never yet chosen: it waits inside its
+        # OS thread for a first resume and is schedulable like a parked
+        # one).
+        live = [t for t in self._tasks if t.state != "done"]
+        if not live:
+            return None
+        enabled = [t for t in live if self._enabled(t)]
+        if not enabled:
+            cycle = self._wait_cycle(live)
+            # Report the site of a task *in* the cycle (their frames
+            # point at fixture lines; the root task's join frame would
+            # point into the runner plumbing).
+            in_cycle = set(cycle)
+            site = min(
+                (
+                    t.site for t in live
+                    if t.site is not None and t.name in in_cycle
+                ),
+                default=AccessSite("<scheduler>", 0),
+            )
+            self.trace.deadlock = (cycle, site)
+            return None
+        chosen = self._pick(enabled)
+        if chosen is None:  # strict replay ran out of schedule
+            return None
+        if chosen.steps >= self.max_steps_per_task:
+            self.trace.truncated = True
+            return None
+        chosen.steps += 1
+        self._record(chosen, enabled)
+        self._apply(chosen)
+        chosen.state = "running"
+        return chosen
 
     def _pick(self, enabled: List[_Task]) -> Optional[_Task]:
         index = len(self.trace.choices)
@@ -432,14 +499,15 @@ class ReplayScheduler:
         ))
         self.trace.choices.append(chosen.index)
 
-    def _resume(self, task: _Task) -> None:
-        task.sem.release()
-
     def _abort_all(self) -> None:
-        for task in self._tasks:
-            if task.state != "done":
+        with self._lock:
+            self._over = True
+            tasks = list(self._tasks)
+            stopped = [t for t in tasks if t.state != "done"]
+            for task in stopped:
                 task.abort = True
-                task.sem.release()
-        for task in self._tasks:
+        for task in stopped:
+            task.sem.release()
+        for task in tasks:
             if task.thread is not None:
                 task.thread.join(timeout=_WAIT_TIMEOUT)

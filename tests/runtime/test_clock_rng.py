@@ -76,6 +76,24 @@ class TestVirtualClock:
             threading.Timer(0.02, notifier).start()
             assert clock.wait_on(cond, timeout=60.0) is True
 
+    def test_wait_on_survives_a_swallowed_notify(self):
+        # CPython's timed ``Condition.wait`` can consume a notify that
+        # lands as it times out and still return False.  This stand-in
+        # loses every notify that way; with virtual time frozen the wait
+        # must still end, as a wakeup the caller re-checks.
+        class SwallowingCondition:
+            waits = 0
+
+            def wait(self, timeout=None):
+                self.waits += 1
+                return False
+
+        clock = VirtualClock()
+        cond = SwallowingCondition()
+        assert clock.wait_on(cond, timeout=60.0) is True
+        assert cond.waits == VirtualClock._IDLE_SLICES
+        assert clock.now() == 0.0
+
 
 class TestRngService:
     def test_same_name_same_stream_instance(self):

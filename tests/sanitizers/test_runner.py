@@ -1,8 +1,13 @@
 """Whole-program sanitizing: run_source / run_fixture verdicts."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sanitizers.runner import run_fixture, run_source
+from repro.sanitizers.findings import lock_order_finding
+from repro.sanitizers.runner import _SanRuntime, run_fixture, run_source
+from repro.sanitizers.sites import AccessSite
 from repro.smp.fixtures import fixture
 
 RACY = """\
@@ -106,6 +111,43 @@ class TestLockOrder:
             "                pass\n"
         )
         assert run_source(source).findings == []
+
+
+def _networkx_order_findings(lock_edges):
+    """The reference: networkx's elementary cycles, canonically rotated
+    to start at their smallest lock, then sorted."""
+    graph = nx.DiGraph()
+    graph.add_edges_from(lock_edges)
+    cycles = []
+    for cycle in nx.simple_cycles(graph):
+        pivot = min(range(len(cycle)), key=cycle.__getitem__)
+        cycles.append(cycle[pivot:] + cycle[:pivot])
+    findings = []
+    for cycle in sorted(cycles):
+        edge = (cycle[0], cycle[1 % len(cycle)])
+        site = lock_edges.get(edge, next(iter(lock_edges.values())))
+        findings.append(lock_order_finding(cycle, site))
+    return findings
+
+
+_LOCKS = st.sampled_from([f"lock{i}" for i in range(6)])
+
+
+class TestLockCycleEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LOCKS, _LOCKS), max_size=14, unique=True))
+    def test_matches_networkx_simple_cycles(self, edges):
+        # Self-loops included; the first-seen site of each edge differs
+        # so a wrong edge-to-site lookup shows in the findings.
+        lock_edges = {
+            edge: AccessSite("orders.py", line, "main")
+            for line, edge in enumerate(edges, start=1)
+        }
+        runtime = _SanRuntime(detector=None)
+        runtime.lock_edges = lock_edges
+        assert runtime.order_findings() == _networkx_order_findings(
+            lock_edges
+        )
 
 
 class TestSuppressions:
