@@ -18,7 +18,8 @@ Layers
   whose write sites share no common lock are potential data races (PDC101).
 - :mod:`repro.analysis.lockorder` — static lock-order graph; cycles are
   ABBA deadlock potential (PDC102), cross-validated against the dynamic
-  :class:`repro.smp.deadlock.LockGraph`.
+  :class:`repro.smp.deadlock.LockGraph`.  Its ``lock_cycles`` enumerates
+  the cycles for every lock-order rule, PDC302 included.
 - :mod:`repro.analysis.rules` — the pluggable rule engine and eight
   syntactic concurrency-hygiene rules (PDC201–PDC208).
 - :mod:`repro.analysis.report` — findings, per-line suppressions

@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import shutil
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.analysis.engine.outcome import FileOutcome
@@ -38,6 +39,11 @@ __all__ = [
     "FindingsCache",
     "MemoryCache",
 ]
+
+#: Entries a :class:`MemoryCache` keeps before it evicts the least
+#: recently used one: far above one whole-program lint's units, and a
+#: bound on a grading session's memory however many students submit.
+MEMORY_CACHE_ENTRIES = 1024
 
 #: Schema version of the entry JSON itself (not the analyzer's).
 _ENTRY_SCHEMA = 1
@@ -192,11 +198,14 @@ class MemoryCache:
     """A per-process cache with the same surface as :class:`FindingsCache`.
 
     The autograder uses one per grading session: a cohort where many
-    students submit byte-identical starter code is analyzed once.
+    students submit byte-identical starter code is analyzed once.  At
+    most :data:`MEMORY_CACHE_ENTRIES` entries are kept, least recently
+    used (read or written) first out, so a much-resubmitted starter
+    stays cached.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, Dict[str, object]] = {}
+        self._entries: OrderedDict[str, Dict[str, object]] = OrderedDict()
 
     def open_scope(self, pass_: AnalyzerPass) -> None:
         pass
@@ -207,13 +216,18 @@ class MemoryCache:
     def get(
         self, pass_: AnalyzerPass, digest: str, path: str
     ) -> Optional[FileOutcome]:
-        entry = self._entries.get(f"{scope_id(pass_)}/{digest}")
-        return None if entry is None else rebase_entry(entry, path)
+        key = f"{scope_id(pass_)}/{digest}"
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return rebase_entry(entry, path)
 
     def put(
         self, pass_: AnalyzerPass, digest: str, path: str, outcome: FileOutcome
     ) -> None:
-        self._entries[f"{scope_id(pass_)}/{digest}"] = {
-            "path": path,
-            "outcome": outcome.to_wire(),
-        }
+        key = f"{scope_id(pass_)}/{digest}"
+        self._entries[key] = {"path": path, "outcome": outcome.to_wire()}
+        self._entries.move_to_end(key)
+        if len(self._entries) > MEMORY_CACHE_ENTRIES:
+            self._entries.popitem(last=False)

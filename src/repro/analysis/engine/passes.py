@@ -31,7 +31,7 @@ __all__ = [
 
 #: Bumped when an analyzer's semantics change; part of every cache key,
 #: so stale entries from an older analyzer can never be replayed.
-LINT_VERSION = "2"
+LINT_VERSION = "3"
 SAN_VERSION = "2"
 VERIFY_VERSION = "1"
 

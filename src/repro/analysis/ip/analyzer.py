@@ -34,9 +34,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.ip.callgraph import ProgramIndex
+from repro.analysis.lockorder import lock_cycles
 from repro.analysis.report import Finding, Severity, TraceStep
 
 __all__ = ["IP_VERSION", "ConeEntry", "ConeResult", "analyze_cone"]
@@ -513,19 +512,11 @@ class _ConeAnalysis:
                             and inner in own,
                         )
                     )
-        graph = nx.DiGraph()
-        for outer, inner in sites:
-            graph.add_edge(outer, inner)
         entries: List[ConeEntry] = []
-        seen: Set[Tuple[str, ...]] = set()
         for cycle in sorted(
-            nx.simple_cycles(graph), key=lambda c: (len(c), sorted(c))
+            lock_cycles(sites), key=lambda c: (len(c), sorted(c))
         ):
-            pivot = cycle.index(min(cycle))
-            canon = tuple(cycle[pivot:] + cycle[:pivot])
-            if canon in seen:
-                continue
-            seen.add(canon)
+            canon = tuple(cycle)
             edge_sites = [
                 sorted(sites[(canon[i], canon[(i + 1) % len(canon)])])[0]
                 for i in range(len(canon))

@@ -10,14 +10,17 @@ platforms, and the order streams are requested in.
 
 Derivation uses ``np.random.SeedSequence`` with the stream name's bytes
 as the spawn key, the documented mechanism for independent child streams.
+numpy is imported on first use, so a :class:`~repro.runtime.RunContext`
+that never draws a number, like the analysis engine's, never loads it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RngService"]
 
@@ -31,6 +34,8 @@ class RngService:
         self._lock = threading.Lock()
 
     def _sequence(self, name: str) -> np.random.SeedSequence:
+        import numpy as np
+
         return np.random.SeedSequence(
             self.root_seed, spawn_key=tuple(name.encode("utf-8"))
         )
@@ -46,17 +51,19 @@ class RngService:
         with self._lock:
             gen = self._streams.get(name)
             if gen is None:
-                gen = np.random.default_rng(self._sequence(name))
+                gen = self.fresh_stream(name)
                 self._streams[name] = gen
             return gen
 
     def fresh_stream(self, name: str) -> np.random.Generator:
         """A new generator at the start of ``name``'s stream (not cached)."""
+        import numpy as np
+
         return np.random.default_rng(self._sequence(name))
 
     def seed_for(self, name: str) -> int:
         """A derived integer seed for APIs that only accept an int."""
-        return int(self._sequence(name).generate_state(1, np.uint32)[0])
+        return int(self._sequence(name).generate_state(1, "uint32")[0])
 
     def child(self, name: str) -> "RngService":
         """A nested service whose root derives from ``name``."""

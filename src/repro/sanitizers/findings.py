@@ -18,7 +18,7 @@ seeded source example per rule, while dynamic rules fire from execution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.report import Finding, Severity
 from repro.sanitizers.fasttrack import DynamicRace
@@ -129,8 +129,3 @@ def message_finding(
         severity=Severity.WARNING,
         symbol=dest,
     )
-
-
-def sort_findings(findings: List[Finding]) -> List[Finding]:
-    """Deterministic report order (path, line, col, rule)."""
-    return sorted(findings)

@@ -32,8 +32,9 @@ import dataclasses
 import functools
 import threading
 import types
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.lockorder import lock_cycles
 from repro.analysis.report import Finding, apply_suppressions
 from repro.sanitizers.fasttrack import FastTrackDetector
 from repro.sanitizers.findings import deadlock_finding, lock_order_finding
@@ -358,44 +359,15 @@ class _SanRuntime:
 
     def order_findings(self) -> List[Finding]:
         """PDC302 findings for cycles in the observed lock order, each
-        reported once, in canonical rotation and sorted order, so the
-        same run always reports the same findings."""
-        findings = []
-        for cycle in _lock_cycles(self.lock_edges):
-            edge = (cycle[0], cycle[1 % len(cycle)])
-            site = self.lock_edges.get(
-                edge, next(iter(self.lock_edges.values()))
+        reported once, in :func:`~repro.analysis.lockorder.lock_cycles`'
+        canonical rotation and sorted order — the rotation PDC102 uses —
+        so the same run always reports the same findings."""
+        return [
+            lock_order_finding(
+                cycle, self.lock_edges[cycle[0], cycle[1 % len(cycle)]]
             )
-            findings.append(lock_order_finding(cycle, site))
-        return findings
-
-
-def _lock_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
-    """Every elementary cycle of the directed graph ``edges``, each
-    rotated to start at its smallest node, in sorted order.
-
-    Each cycle is found exactly once, from its smallest node, by a
-    depth-first walk that visits only larger nodes; a self-loop is the
-    one-node cycle.  Lock-order graphs have a handful of edges, so the
-    walk is cheaper than building a general graph per run.
-    """
-    succ: Dict[str, List[str]] = {}
-    for src, dst in edges:
-        succ.setdefault(src, []).append(dst)
-    cycles: List[List[str]] = []
-
-    def walk(start: str, path: List[str]) -> None:
-        for nxt in succ.get(path[-1], ()):
-            if nxt == start:
-                cycles.append(list(path))
-            elif nxt > start and nxt not in path:
-                path.append(nxt)
-                walk(start, path)
-                path.pop()
-
-    for start in succ:
-        walk(start, [start])
-    return sorted(cycles)
+            for cycle in lock_cycles(self.lock_edges)
+        ]
 
 
 class _SanThreading:

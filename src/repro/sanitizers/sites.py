@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
-from typing import Optional
 
 __all__ = ["AccessSite", "call_site"]
 
@@ -66,10 +65,3 @@ def call_site(thread: str = "") -> AccessSite:
     if frame is None:  # pragma: no cover - only if called from runtime top
         return AccessSite("<unknown>", 0, thread)
     return AccessSite(frame.f_code.co_filename, frame.f_lineno, thread)
-
-
-def site_or_here(site: Optional[AccessSite], thread: str = "") -> AccessSite:
-    """``site`` if given, else capture the caller's site."""
-    if site is not None:
-        return site
-    return call_site(thread)

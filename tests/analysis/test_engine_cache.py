@@ -20,6 +20,7 @@ from repro.analysis.engine import (
     content_digest,
     scope_id,
 )
+from repro.analysis.engine import cache as engine_cache
 from repro.smp.fixtures import fixture
 
 RACY = fixture("racy_counter_twin").source
@@ -136,6 +137,26 @@ class TestContentAddressing:
         assert engine.stats()["engine.cache.hits"] == 1
         assert [f.path for f in first.findings] == ["<sub:ex1>"]
         assert [f.path for f in second.findings] == ["<sub:ex2>"]
+
+    def test_memory_cache_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(engine_cache, "MEMORY_CACHE_ENTRIES", 3)
+        pass_ = LintPass()
+        cache = MemoryCache()
+        engine = AnalysisEngine(pass_, cache=cache)
+        sources = [f"{RACY}\n# variant {i}\n" for i in range(4)]
+        for i in range(3):
+            engine.run([WorkUnit.source(f"v{i}.py", sources[i])])
+        # Reading v0 makes it recent, so v1 is the one evicted by v3.
+        engine.run([WorkUnit.source("v0.py", sources[0])])
+        engine.run([WorkUnit.source("v3.py", sources[3])])
+        assert len(cache._entries) == 3
+
+        def hit(i):
+            before = engine.stats()["engine.cache.hits"]
+            engine.run([WorkUnit.source(f"v{i}.py", sources[i])])
+            return engine.stats()["engine.cache.hits"] > before
+
+        assert [hit(i) for i in (0, 2, 3, 1)] == [True, True, True, False]
 
 
 class TestMutation:

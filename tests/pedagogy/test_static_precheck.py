@@ -111,3 +111,39 @@ class TestResultLookup:
         report = grader.grade("ada", {})
         with pytest.raises(KeyError, match="none"):
             report.result_for("anything")
+
+
+class TestSessionCacheBound:
+    def test_cohort_past_the_bound_keeps_the_starter_cached(
+        self, monkeypatch
+    ):
+        from repro.analysis.engine import cache as engine_cache
+        from repro.runtime import RunContext
+
+        bound = 4
+        monkeypatch.setattr(engine_cache, "MEMORY_CACHE_ENTRIES", bound)
+        context = RunContext()
+        grader = Autograder(
+            [_source_exercise()],
+            static_precheck=True,
+            sanitize=True,
+            context=context,
+        )
+        starter = grader.grade("starter", {"counter": RACY})
+
+        def hits():
+            metrics = context.snapshot("grader")
+            return (
+                metrics["grader.static.cache.hits"],
+                metrics["grader.dynamic.cache.hits"],
+            )
+
+        for i in range(bound + 10):
+            grader.grade(f"s{i}", {"counter": f"{RACY}\n# student {i}\n"})
+            before = hits()
+            again = grader.grade(f"r{i}", {"counter": RACY})
+            assert hits() == (before[0] + 1, before[1] + 1)
+            assert again.static_findings == starter.static_findings
+            assert again.dynamic_findings == starter.dynamic_findings
+        for cache in (grader._static_cache, grader._dynamic_cache):
+            assert len(cache._entries) == bound
