@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 from collections import OrderedDict
 from typing import Dict, Optional
@@ -42,7 +43,7 @@ __all__ = [
 
 #: Entries a :class:`MemoryCache` keeps before it evicts the least
 #: recently used one: far above one whole-program lint's units, and a
-#: bound on a grading session's memory however many students submit.
+#: bound on a grading process's memory however many students submit.
 MEMORY_CACHE_ENTRIES = 1024
 
 #: Schema version of the entry JSON itself (not the analyzer's).
@@ -64,25 +65,39 @@ def scope_id(pass_: AnalyzerPass) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
+def _rebase_text(text: str, old: str, path: str) -> str:
+    """``text`` citing ``path`` wherever it cited ``old``: a leading
+    ``old:`` (an error's subject) and every whole ``old:LINE`` site.
+
+    A path character right before ``old`` means another path, so
+    ``a.py`` leaves ``data.py:3`` alone.
+    """
+    old = re.escape(old)
+    site = rf"^{old}(?=:)|(?<![\w./\\-]){old}(?=:\d)"
+    return re.sub(site, lambda _: path, text)
+
+
 def rebase_entry(entry: Dict[str, object], path: str) -> FileOutcome:
     """Deserialize a cache entry, rewriting its stored path to ``path``.
 
     Entries are stored under a content digest, so the same entry serves
-    every path whose bytes match; findings and error strings cite the
-    path they were produced at, which must be rewritten for the hit to
-    be indistinguishable from a fresh analysis.
+    every path whose bytes match; findings, their messages (a dynamic
+    finding names the sites it saw, as ``path:line``) and error strings
+    cite the path they were produced at, which must be rewritten for the
+    hit to be indistinguishable from a fresh analysis.
     """
     outcome = FileOutcome.from_wire(entry["outcome"])  # type: ignore[arg-type]
     old = str(entry.get("path", ""))
     if old and old != path:
         outcome.findings = [
-            dataclasses.replace(f, path=path) if f.path == old else f
+            dataclasses.replace(
+                f,
+                path=path if f.path == old else f.path,
+                message=_rebase_text(f.message, old, path),
+            )
             for f in outcome.findings
         ]
-        outcome.errors = [
-            path + e[len(old):] if e.startswith(old + ":") else e
-            for e in outcome.errors
-        ]
+        outcome.errors = [_rebase_text(e, old, path) for e in outcome.errors]
     outcome.cached = True
     return outcome
 
@@ -197,11 +212,13 @@ class FindingsCache:
 class MemoryCache:
     """A per-process cache with the same surface as :class:`FindingsCache`.
 
-    The autograder uses one per grading session: a cohort where many
-    students submit byte-identical starter code is analyzed once.  At
-    most :data:`MEMORY_CACHE_ENTRIES` entries are kept, least recently
-    used (read or written) first out, so a much-resubmitted starter
-    stays cached.
+    Grading holds one per process
+    (:func:`repro.pedagogy.autograder.grading_cache`), shared by the
+    lint, sanitize and verify passes of every grader: a cohort where
+    many students submit byte-identical starter code is analyzed once.
+    At most :data:`MEMORY_CACHE_ENTRIES` entries are kept over all
+    passes, least recently used (read or written) first out, so a
+    much-resubmitted starter stays cached.
     """
 
     def __init__(self) -> None:

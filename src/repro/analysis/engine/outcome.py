@@ -12,8 +12,9 @@ indistinguishable from their output.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import Finding
 
@@ -65,15 +66,25 @@ class FileOutcome:
     readable: bool = True
     #: True when this outcome came out of the incremental cache.
     cached: bool = False
+    #: Pass-specific receipts beside the findings (the verify pass puts
+    #: its schedule counts, proof flag and replay tokens here).
+    stats: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def to_wire(self) -> Dict[str, object]:
-        """JSON/pickle-friendly form (cache entries, worker results)."""
-        return {
+        """JSON/pickle-friendly form (cache entries, worker results).
+
+        ``stats`` is written only when non-empty, so passes without
+        receipts keep their entry bytes.
+        """
+        payload: Dict[str, object] = {
             "findings": [f.as_dict() for f in self.findings],
             "suppressed": self.suppressed,
             "errors": list(self.errors),
             "readable": self.readable,
         }
+        if self.stats:
+            payload["stats"] = copy.deepcopy(self.stats)
+        return payload
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "FileOutcome":
@@ -83,6 +94,7 @@ class FileOutcome:
             suppressed=int(payload["suppressed"]),  # type: ignore[arg-type]
             errors=[str(e) for e in payload["errors"]],  # type: ignore[union-attr]
             readable=bool(payload.get("readable", True)),
+            stats=copy.deepcopy(payload.get("stats", {})),  # type: ignore[arg-type]
         )
 
 

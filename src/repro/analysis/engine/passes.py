@@ -33,7 +33,7 @@ __all__ = [
 #: so stale entries from an older analyzer can never be replayed.
 LINT_VERSION = "3"
 SAN_VERSION = "2"
-VERIFY_VERSION = "1"
+VERIFY_VERSION = "2"
 
 
 class AnalyzerPass(abc.ABC):
@@ -220,7 +220,11 @@ class VerifyPass(AnalyzerPass):
     Caching a *model-checking verdict* is sound for the same reason
     caching a sanitizer run is — the exploration is a deterministic
     function of the source, the mode, and the budget, all of which are
-    in the cache key.
+    in the cache key.  The outcome's ``stats`` carry the receipts a
+    grader reports beside the findings: ``schedules_explored``,
+    ``schedules_pruned``, ``truncated_runs``, ``proved`` and the replay
+    ``tokens`` per rule, so a cache hit answers everything a fresh
+    exploration would.
     """
 
     tool = "pdc-verify"
@@ -299,6 +303,13 @@ class VerifyPass(AnalyzerPass):
         return FileOutcome(
             findings=list(result.findings),
             errors=list(result.errors),
+            stats={
+                "schedules_explored": result.schedules_explored,
+                "schedules_pruned": result.schedules_pruned,
+                "truncated_runs": result.truncated_runs,
+                "proved": result.proved,
+                "tokens": dict(result.tokens),
+            },
         )
 
     def sarif_rules(self) -> List[Tuple[str, str, str]]:

@@ -37,8 +37,85 @@ from repro.runtime import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis import Finding
+    from repro.analysis.engine import AnalyzerPass, EngineReport, MemoryCache
+    from repro.runtime.metrics import MetricRegistry
 
-__all__ = ["GradeReport", "Autograder"]
+__all__ = ["GradeReport", "Autograder", "grading_cache", "verify_submission"]
+
+#: The grading verify budget: big enough to drain every lab-scale
+#: schedule tree, small enough that a spinning submission fails fast
+#: (with "could not prove", which is the right verdict).
+VERIFY_BUDGET = {"max_schedules": 500, "max_steps": 200}
+
+_grading_cache: Optional["MemoryCache"] = None
+
+
+def grading_cache() -> "MemoryCache":
+    """The one engine cache every grading stage in this process shares.
+
+    Created on first use: one bounded LRU for the lint, sanitize and
+    verify passes of every grader.  Its keys hold each pass's version
+    and configuration as well as the content, so graders with different
+    settings share it safely.  It is per process rather than per grader
+    so that a new grader over byte-identical code (a starter file, a
+    re-run session) replays verdicts instead of re-exploring them.
+    """
+    global _grading_cache
+    if _grading_cache is None:
+        from repro.analysis.engine import MemoryCache
+
+        _grading_cache = MemoryCache()
+    return _grading_cache
+
+
+def run_stage(
+    stage: str,
+    pass_: "AnalyzerPass",
+    exercise_id: str,
+    source: str,
+    registry: Optional["MetricRegistry"] = None,
+) -> "EngineReport":
+    """Run one analyzer pass over one submission via the grading cache.
+
+    The submission is the unit ``<submission:exercise_id>``.  With a
+    ``registry`` the engine records its telemetry (submissions analyzed,
+    cache hits, findings by rule) under ``grader.<stage>`` — grading
+    dogfoods the same observability substrate the graded labs use.
+    """
+    from repro.analysis.engine import AnalysisEngine, WorkUnit
+
+    engine = AnalysisEngine(
+        pass_,
+        cache=grading_cache(),
+        registry=registry,
+        metrics_prefix=f"grader.{stage}",
+    )
+    return engine.run([WorkUnit.source(f"<submission:{exercise_id}>", source)])
+
+
+def verify_submission(
+    exercise_id: str,
+    source: str,
+    entry: str = "main",
+    registry: Optional["MetricRegistry"] = None,
+) -> "EngineReport":
+    """Model-check one submission at :data:`VERIFY_BUDGET`.
+
+    The verify stage and the model-checking lab's checker both call
+    this for ``<submission:exercise_id>``, so a submission's schedule
+    tree is explored once and the second call is a cache hit.  The
+    report's one outcome carries the receipts in ``stats``
+    (:class:`~repro.analysis.engine.VerifyPass`).
+    """
+    from repro.analysis.engine import VerifyPass
+
+    pass_ = VerifyPass(entry=entry, mode="dpor", **VERIFY_BUDGET)
+    return run_stage("verify", pass_, exercise_id, source, registry)
+
+
+def _sites(findings: Sequence["Finding"]) -> str:
+    """``RULE@LINE`` for each distinct finding site, sorted."""
+    return ", ".join(sorted({f"{f.rule}@{f.line}" for f in findings}))
 
 
 @dataclasses.dataclass
@@ -182,11 +259,6 @@ class Autograder:
         self.verify = verify or verify_gate
         self.verify_gate = verify_gate
         self.context = context
-        # Engine-backed analysis caches, created on first use: a cohort
-        # where many students submit byte-identical code (starter files,
-        # shared solutions) is analyzed once per distinct source.
-        self._static_cache: Optional[Any] = None
-        self._dynamic_cache: Optional[Any] = None
 
     def _submission_source(self, submitted: Any) -> Optional[str]:
         """The analyzable source of a submission, if it has any."""
@@ -197,227 +269,111 @@ class Autograder:
         except (OSError, TypeError):
             return None  # built-ins, REPL lambdas, plain values: no source
 
-    def _static_findings(
-        self, exercise_id: str, submitted: Any
-    ) -> List["Finding"]:
-        """PDC-Lint findings for one submission (empty if sourceless)."""
-        source = self._submission_source(submitted)
-        if source is None:
-            return []
-        # Deferred import: pedagogy stays importable without the analyzer.
-        from repro.analysis.engine import LintPass, MemoryCache
+    def _run_stages(
+        self, exercise_id: str, submitted: Any, report: GradeReport
+    ) -> Optional[str]:
+        """Run the enabled analysis stages over one submission.
 
-        if self._static_cache is None:
-            self._static_cache = MemoryCache()
-        # Unparsable source yields engine errors, not findings: the
-        # submission then fails in the checker, on record.
-        return self._engine_findings(
-            exercise_id,
-            source,
-            LintPass(select=self.precheck_select),
-            self._static_cache,
-            "grader.static",
-        )
-
-    def _dynamic_findings(
-        self, exercise_id: str, submitted: Any
-    ) -> List["Finding"]:
-        """PDC-San findings from one instrumented run (empty if sourceless)."""
-        source = self._submission_source(submitted)
-        if source is None:
-            return []
-        # Deferred import: pedagogy stays importable without the sanitizers.
-        from repro.analysis.engine import MemoryCache, SanitizePass
-
-        entry = (
-            getattr(submitted, "__name__", "main")
-            if callable(submitted)
-            else "main"
-        )
-        if self._dynamic_cache is None:
-            self._dynamic_cache = MemoryCache()
-        # Caching an execution is sound because the sanitized run is
-        # deterministic: same source + entry, same findings, every run.
-        return self._engine_findings(
-            exercise_id,
-            source,
-            SanitizePass(entry=entry),
-            self._dynamic_cache,
-            "grader.dynamic",
-        )
-
-    def _verify_submission(
-        self, exercise_id: str, submitted: Any
-    ) -> Optional[Any]:
-        """Model-check one submission; ``None`` when it has no source."""
+        Findings and verify receipts go into ``report``; the return
+        value is the error text of the first gate that fails (``None``
+        when the checker should run).  A sourceless submission skips
+        every stage.
+        """
+        if not (self.static_precheck or self.sanitize or self.verify):
+            return None
         source = self._submission_source(submitted)
         if source is None:
             return None
-        # Deferred import: pedagogy stays importable without the checker.
-        from repro.verify.explorer import ExploreBudget, explore_source
+        # Deferred import: pedagogy stays importable without the analyzers.
+        from repro.analysis.engine import LintPass, SanitizePass
 
+        registry = self.context.registry if self.context is not None else None
         entry = (
             getattr(submitted, "__name__", "main")
             if callable(submitted)
             else "main"
         )
-        # A grading-sized budget: big enough to drain every lab-scale
-        # schedule tree, small enough that a spinning submission fails
-        # fast (with "could not prove", which is the right verdict).
-        return explore_source(
-            source,
-            path=f"<submission:{exercise_id}>",
-            entry=entry,
-            mode="dpor",
-            budget=ExploreBudget(max_schedules=500, max_steps_per_task=200),
-        )
-
-    def _engine_findings(
-        self,
-        exercise_id: str,
-        source: str,
-        pass_: Any,
-        cache: Any,
-        metrics_prefix: str,
-    ) -> List["Finding"]:
-        """Run one analyzer pass over one submission via the engine.
-
-        When a :class:`~repro.runtime.RunContext` is attached, the
-        engine records its telemetry (submissions analyzed, cache hits,
-        findings by rule) in the context's metric registry under
-        ``metrics_prefix`` — grading dogfoods the same observability
-        substrate the graded labs use.
-        """
-        from repro.analysis.engine import AnalysisEngine, WorkUnit
-
-        engine = AnalysisEngine(
-            pass_,
-            cache=cache,
-            registry=(
-                self.context.registry if self.context is not None else None
-            ),
-            metrics_prefix=metrics_prefix,
-        )
-        unit = WorkUnit.source(f"<submission:{exercise_id}>", source)
-        return engine.run([unit]).findings
+        if self.static_precheck:
+            # Unparsable source yields engine errors, not findings: the
+            # submission then fails in the checker, on record.
+            found = run_stage(
+                "static", LintPass(select=self.precheck_select),
+                exercise_id, source, registry,
+            ).findings
+            if found:
+                report.static_findings[exercise_id] = found
+                if self.precheck_gate:
+                    return (
+                        f"static pre-check failed ({_sites(found)}); fix the "
+                        "findings or suppress them with a justified "
+                        "`# pdc-lint: disable=...` comment"
+                    )
+        if self.sanitize:
+            observed = run_stage(
+                "dynamic", SanitizePass(entry=entry),
+                exercise_id, source, registry,
+            ).findings
+            if observed:
+                report.dynamic_findings[exercise_id] = observed
+                if self.sanitize_gate:
+                    return (
+                        f"sanitizer check failed ({_sites(observed)}): the "
+                        "instrumented run observed these; fix the "
+                        "synchronization (a static suppression does "
+                        "not answer an observed race)"
+                    )
+        if self.verify:
+            checked = verify_submission(exercise_id, source, entry, registry)
+            stats = checked.outcomes[0].stats
+            if checked.findings:
+                report.verify_findings[exercise_id] = checked.findings
+            report.verify_stats[exercise_id] = {
+                "schedules_explored": stats["schedules_explored"],
+                "schedules_pruned": stats["schedules_pruned"],
+                "proved": stats["proved"],
+                "tokens": stats["tokens"],
+            }
+            if self.verify_gate and checked.findings:
+                rules = ", ".join(
+                    f"{rule} [replay {token}]"
+                    for rule, token in sorted(stats["tokens"].items())
+                ) or ", ".join(sorted({f.rule for f in checked.findings}))
+                return (
+                    f"model checker found a reachable failure ({rules}): "
+                    "some interleaving of your code still breaks — replay "
+                    "the schedule token to watch it happen"
+                )
+            if self.verify_gate and not stats["proved"]:
+                return (
+                    "model checker could not prove the fix: exploration "
+                    f"was bounded (explored {stats['schedules_explored']} "
+                    f"schedules, {stats['truncated_runs']} truncated). "
+                    "Replace busy-waiting with blocking synchronization "
+                    "so the schedule tree is finite"
+                )
+        return None
 
     def grade(self, student: str, submission: Mapping[str, Any]) -> GradeReport:
         """Grade one student."""
-        results: List[ExerciseResult] = []
-        static_findings: Dict[str, List["Finding"]] = {}
-        dynamic_findings: Dict[str, List["Finding"]] = {}
-        verify_findings: Dict[str, List["Finding"]] = {}
-        verify_stats: Dict[str, Dict[str, Any]] = {}
+        report = GradeReport(student=student, results=[])
         for exercise in self.exercises:
             eid = exercise.exercise_id
             if eid not in submission:
-                results.append(
+                failed: Optional[str] = "not submitted"
+            else:
+                failed = self._run_stages(eid, submission[eid], report)
+            if failed is not None:
+                report.results.append(
                     ExerciseResult(
                         exercise_id=eid,
                         fraction=0.0,
                         points_earned=0.0,
                         points_possible=exercise.points,
-                        error="not submitted",
+                        error=failed,
                     )
                 )
                 continue
             submitted = submission[eid]
-            if self.static_precheck:
-                findings = self._static_findings(eid, submitted)
-                if findings:
-                    static_findings[eid] = findings
-                if findings and self.precheck_gate:
-                    rules = ", ".join(
-                        sorted({f"{f.rule}@{f.line}" for f in findings})
-                    )
-                    results.append(
-                        ExerciseResult(
-                            exercise_id=eid,
-                            fraction=0.0,
-                            points_earned=0.0,
-                            points_possible=exercise.points,
-                            error=(
-                                f"static pre-check failed ({rules}); fix the "
-                                "findings or suppress them with a justified "
-                                "`# pdc-lint: disable=...` comment"
-                            ),
-                        )
-                    )
-                    continue
-            if self.sanitize:
-                observed = self._dynamic_findings(eid, submitted)
-                if observed:
-                    dynamic_findings[eid] = observed
-                if observed and self.sanitize_gate:
-                    rules = ", ".join(
-                        sorted({f"{f.rule}@{f.line}" for f in observed})
-                    )
-                    results.append(
-                        ExerciseResult(
-                            exercise_id=eid,
-                            fraction=0.0,
-                            points_earned=0.0,
-                            points_possible=exercise.points,
-                            error=(
-                                f"sanitizer check failed ({rules}): the "
-                                "instrumented run observed these; fix the "
-                                "synchronization (a static suppression does "
-                                "not answer an observed race)"
-                            ),
-                        )
-                    )
-                    continue
-            if self.verify:
-                checked = self._verify_submission(eid, submitted)
-                if checked is not None:
-                    if checked.findings:
-                        verify_findings[eid] = list(checked.findings)
-                    verify_stats[eid] = {
-                        "schedules_explored": checked.schedules_explored,
-                        "schedules_pruned": checked.schedules_pruned,
-                        "proved": checked.proved,
-                        "tokens": dict(checked.tokens),
-                    }
-                if checked is not None and self.verify_gate:
-                    if checked.findings:
-                        rules = ", ".join(
-                            f"{rule} [replay {token}]"
-                            for rule, token in sorted(checked.tokens.items())
-                        ) or ", ".join(sorted(checked.rules))
-                        results.append(
-                            ExerciseResult(
-                                exercise_id=eid,
-                                fraction=0.0,
-                                points_earned=0.0,
-                                points_possible=exercise.points,
-                                error=(
-                                    f"model checker found a reachable "
-                                    f"failure ({rules}): some interleaving "
-                                    "of your code still breaks — replay the "
-                                    "schedule token to watch it happen"
-                                ),
-                            )
-                        )
-                        continue
-                    if not checked.proved:
-                        results.append(
-                            ExerciseResult(
-                                exercise_id=eid,
-                                fraction=0.0,
-                                points_earned=0.0,
-                                points_possible=exercise.points,
-                                error=(
-                                    "model checker could not prove the fix: "
-                                    f"exploration was bounded (explored "
-                                    f"{checked.schedules_explored} schedules"
-                                    f", {checked.truncated_runs} truncated)."
-                                    " Replace busy-waiting with blocking "
-                                    "synchronization so the schedule tree "
-                                    "is finite"
-                                ),
-                            )
-                        )
-                        continue
             if self.context is not None:
                 with self.context.tracer.span(
                     f"lab.{eid}", cat="pedagogy", tid="autograder",
@@ -430,15 +386,8 @@ class Autograder:
                 self.context.registry.counter("lab.graded").inc()
             else:
                 result = exercise.grade(submitted)
-            results.append(result)
-        return GradeReport(
-            student=student,
-            results=results,
-            static_findings=static_findings,
-            dynamic_findings=dynamic_findings,
-            verify_findings=verify_findings,
-            verify_stats=verify_stats,
-        )
+            report.results.append(result)
+        return report
 
     def grade_cohort(
         self, submissions: Mapping[str, Mapping[str, Any]]

@@ -22,8 +22,12 @@ text* and asks for a repaired module (also source text).  The checker
 
 Used with ``Autograder(verify_gate=True)`` the same bar applies
 lab-wide: the gate scores a submission zero until the proof goes
-through.  Kept out of :func:`~repro.pedagogy.labs.standard_labs` (its
-ten-lab contract is load-bearing); courses append it explicitly.
+through.  The checker asks for its verdict the way the grader's verify
+stage does (:func:`~repro.pedagogy.autograder.verify_submission`, same
+budget, same ``<submission:verify-proved-fix>`` unit), so behind a
+verify stage it reads the stage's cached verdict and a submission is
+explored once.  Kept out of :func:`~repro.pedagogy.labs.standard_labs`
+(its ten-lab contract is load-bearing); courses append it explicitly.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from repro.core.taxonomy import PdcTopic
 from repro.pedagogy.exercise import Exercise
 
 __all__ = ["model_checking_lab", "RACY_TRANSFER_SOURCE"]
+
+_EXERCISE_ID = "verify-proved-fix"
 
 #: The handed-out buggy module: two unlocked read-modify-write updates.
 RACY_TRANSFER_SOURCE = textwrap.dedent('''
@@ -98,18 +104,12 @@ _REFERENCE_FIX = textwrap.dedent('''
 
 def _check_proved_fix(source: str) -> float:
     """Submission: the repaired module, as source text."""
-    from repro.verify.explorer import ExploreBudget, explore_source
+    from repro.pedagogy.autograder import verify_submission
 
-    result = explore_source(
-        str(source),
-        path="<submission:verify-proved-fix>",
-        entry="main",
-        mode="dpor",
-        budget=ExploreBudget(max_schedules=500, max_steps_per_task=200),
-    )
-    if result.findings or result.errors:
+    checked = verify_submission(_EXERCISE_ID, str(source))
+    if checked.findings or checked.errors:
         return 0.0
-    if not result.proved:
+    if not checked.outcomes[0].stats["proved"]:
         return 0.5  # clean so far, but that is a bounded search, not a proof
     return 1.0
 
@@ -118,7 +118,7 @@ def model_checking_lab() -> Exercise:
     """The twelfth lab: repair the racy transfer module so the model
     checker can prove no interleaving loses an update or deadlocks."""
     return Exercise(
-        "verify-proved-fix",
+        _EXERCISE_ID,
         "The module in RACY_TRANSFER_SOURCE loses updates: both transfer "
         "functions read-modify-write the balances with no ordering. "
         "Submit a repaired module (source text) with the same entry "

@@ -38,7 +38,6 @@ deterministically in branch order.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,8 +57,6 @@ __all__ = [
 
 DEFAULT_MAX_SCHEDULES = 2000
 DEFAULT_MAX_STEPS = 400
-#: Distinct ``(target, mode, budget)`` verdicts the serial explorer keeps.
-EXPLORE_MEMO_SIZE = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,33 +299,6 @@ def _explore(
     )
 
 
-@functools.lru_cache(maxsize=EXPLORE_MEMO_SIZE)
-def _explore_memo(
-    target: _Target, mode: str, budget: ExploreBudget
-) -> VerifyResult:
-    return _explore(target, mode, budget)
-
-
-def _explore_once(
-    target: _Target, mode: str, budget: ExploreBudget
-) -> VerifyResult:
-    """:func:`_explore` the whole tree, once per ``(target, mode, budget)``.
-
-    Sound because an exploration is a pure function of those three (a
-    scheduled run is a pure function of its choice prefix, which is
-    what makes replay byte-identical).  Each call gets fresh result
-    containers, so a caller that edits its verdict leaves the memo
-    intact.  Exceptions propagate uncached.
-    """
-    result = _explore_memo(target, mode, budget)
-    return dataclasses.replace(
-        result,
-        findings=list(result.findings),
-        errors=list(result.errors),
-        tokens=dict(result.tokens),
-    )
-
-
 def _explore_subtree(
     target: _Target,
     mode: str,
@@ -415,7 +385,7 @@ def explore_source(
     target = _Target(source, path, entry, tuple(entrypoints))
     if split and split > 1:
         return _explore_split(target, mode, budget, split)
-    return _explore_once(target, mode, budget)
+    return _explore(target, mode, budget)
 
 
 def _fixture_of(fix):
@@ -460,7 +430,7 @@ def explore_fixture(
     budget = budget if budget is not None else fixture_budget(fix)
     if split and split > 1:
         return _explore_split(target, mode, budget, split)
-    return _explore_once(target, mode, budget)
+    return _explore(target, mode, budget)
 
 
 def replay_source(

@@ -11,6 +11,9 @@ file re-analyzes).
 import json
 import os
 
+import pytest
+
+from repro.analysis.__main__ import main as lint_main
 from repro.analysis.engine import (
     AnalysisEngine,
     FindingsCache,
@@ -21,7 +24,12 @@ from repro.analysis.engine import (
     scope_id,
 )
 from repro.analysis.engine import cache as engine_cache
+from repro.analysis.engine.cache import rebase_entry
+from repro.analysis.engine.outcome import FileOutcome
+from repro.analysis.report import Finding
+from repro.sanitizers.__main__ import main as san_main
 from repro.smp.fixtures import fixture
+from repro.verify.__main__ import main as verify_main
 
 RACY = fixture("racy_counter_twin").source
 CLEAN = fixture("locked_counter_twin").source
@@ -157,6 +165,53 @@ class TestContentAddressing:
             return engine.stats()["engine.cache.hits"] > before
 
         assert [hit(i) for i in (0, 2, 3, 1)] == [True, True, True, False]
+
+
+class TestCopiesReportLikeOriginals:
+    """A cache hit or an in-run duplicate must read exactly like a run
+    of that file alone — messages included, since a dynamic finding
+    names the sites it saw as ``path:line``."""
+
+    @pytest.mark.parametrize(
+        "main", [lint_main, san_main, verify_main],
+        ids=["pdc-lint", "pdc-san", "pdc-verify"],
+    )
+    def test_byte_identical_files_each_cite_themselves(
+        self, main, tmp_path, capsys
+    ):
+        paths = []
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text(RACY)
+            paths.append(str(tmp_path / name))
+        disk = ["--cache-dir", str(tmp_path / "cache")]
+
+        def findings(*args):
+            main([*args, "--format", "json"])
+            return json.loads(capsys.readouterr().out)["findings"]
+
+        alone = [findings(path, "--no-cache") for path in paths]
+        assert alone[0] and alone[0] != alone[1]
+        both = alone[0] + alone[1]
+        assert findings(*paths, "--no-cache") == both  # in-run duplicate
+        assert findings(*paths, *disk) == both  # stores a.py's entry only
+        assert findings(paths[1], *disk) == alone[1]  # b.py hits it
+        assert findings(*paths, *disk) == both
+
+    def test_only_whole_site_references_are_rewritten(self):
+        message = "x at a.py:3, y at data.py:3, z at pkg/a.py:4, w at a.py"
+        entry = {
+            "path": "a.py",
+            "outcome": FileOutcome(
+                findings=[Finding("a.py", 3, 0, "PDC301", message)],
+                errors=["a.py: syntax error", "b at a.py:7"],
+            ).to_wire(),
+        }
+        outcome = rebase_entry(entry, "b.py")
+        assert outcome.findings[0].path == "b.py"
+        assert outcome.findings[0].message == (
+            "x at b.py:3, y at data.py:3, z at pkg/a.py:4, w at a.py"
+        )
+        assert outcome.errors == ["b.py: syntax error", "b at b.py:7"]
 
 
 class TestMutation:

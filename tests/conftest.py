@@ -11,3 +11,12 @@ def crossval_matrix():
     from repro.verify.crossval import build_matrix
 
     return build_matrix(mode="dpor")
+
+
+@pytest.fixture(autouse=True)
+def fresh_grading_cache(monkeypatch):
+    """Each test grades into an empty grading cache, so cache hits and
+    misses never depend on which tests ran before it."""
+    from repro.pedagogy import autograder
+
+    monkeypatch.setattr(autograder, "_grading_cache", None)

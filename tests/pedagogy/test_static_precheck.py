@@ -118,32 +118,39 @@ class TestSessionCacheBound:
         self, monkeypatch
     ):
         from repro.analysis.engine import cache as engine_cache
+        from repro.pedagogy.autograder import grading_cache
         from repro.runtime import RunContext
 
-        bound = 4
+        # Each submission leaves one entry per stage: lint, sanitize and
+        # verify share the one grading cache and its one bound.
+        bound = 6
         monkeypatch.setattr(engine_cache, "MEMORY_CACHE_ENTRIES", bound)
         context = RunContext()
         grader = Autograder(
             [_source_exercise()],
             static_precheck=True,
             sanitize=True,
+            verify=True,
             context=context,
         )
         starter = grader.grade("starter", {"counter": RACY})
+        stages = ("static", "dynamic", "verify")
 
         def hits():
             metrics = context.snapshot("grader")
-            return (
-                metrics["grader.static.cache.hits"],
-                metrics["grader.dynamic.cache.hits"],
-            )
+            return tuple(metrics[f"grader.{s}.cache.hits"] for s in stages)
 
         for i in range(bound + 10):
             grader.grade(f"s{i}", {"counter": f"{RACY}\n# student {i}\n"})
             before = hits()
             again = grader.grade(f"r{i}", {"counter": RACY})
-            assert hits() == (before[0] + 1, before[1] + 1)
+            assert hits() == tuple(n + 1 for n in before)
             assert again.static_findings == starter.static_findings
             assert again.dynamic_findings == starter.dynamic_findings
-        for cache in (grader._static_cache, grader._dynamic_cache):
-            assert len(cache._entries) == bound
+            assert again.verify_findings == starter.verify_findings
+            assert again.verify_stats == starter.verify_stats
+        entries = grading_cache()._entries
+        assert len(entries) == bound
+        # Two submissions' worth: one scope per pass, two digests each.
+        assert len({key.split("/")[0] for key in entries}) == len(stages)
+        assert len({key.split("/")[1] for key in entries}) == 2
