@@ -7,7 +7,10 @@ Two parts:
 - the scale sweep: n ∈ {1k, 10k, 100k} through the columnar streaming
   driver, sequential vs sharded, against the pre-refactor object path
   (reimplemented here as the baseline).  Emits ``BENCH_survey.json`` at
-  the repo root — the perf trajectory later PRs must move.
+  the repo root — the perf trajectory later PRs must move — with the
+  machine it ran on (core count, start method, thread-cap variables,
+  NumPy version) and a per-phase breakdown (synthesize / reduce / merge)
+  of one sequential n=100k survey.
 
 Sweep knobs (env): ``SURVEY_BENCH_SIZES`` (comma-separated n values),
 ``SURVEY_BENCH_BASELINE_N`` (object-path sample size; its programs/sec
@@ -15,15 +18,23 @@ rate is what the speedup is measured against).
 """
 
 import json
+import multiprocessing
 import os
 import resource
+import statistics
 import time
 
 import numpy as np
 
 from repro.core.compliance import Approach, check_program
 from repro.core.coverage import CoverageMatrix
-from repro.core.pipeline import shard_survey, stream_survey
+from repro.core.batch import SurveyAggregate
+from repro.core.pipeline import (
+    chunk_grid,
+    shard_survey,
+    stream_survey,
+    synthesize_batch,
+)
 from repro.core.survey import analyze_survey, generate_survey
 from repro.core.taxonomy import PdcTopic
 
@@ -80,6 +91,52 @@ def _object_path_analysis(programs):
 
 def _rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _machine() -> dict:
+    """What the numbers depend on besides the code."""
+    return {
+        "nproc": os.cpu_count(),
+        "start_method": multiprocessing.get_start_method(),
+        "thread_env": {
+            var: os.environ.get(var)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")
+        },
+        "numpy": np.__version__,
+    }
+
+
+def _phases(n: int, chunk_size: int, seed: int, repeats: int = 5) -> dict:
+    """Per-phase wall time of one sequential survey, in ms summed over
+    its chunks: synthesize (``synthesize_batch``), reduce
+    (``SurveyAggregate.from_batch``) and merge; median of ``repeats``."""
+    runs = []
+    for _ in range(repeats):
+        totals = {"synthesize": 0.0, "reduce": 0.0, "merge": 0.0}
+        agg = SurveyAggregate.empty()
+        for spec in chunk_grid(n, chunk_size, seed):
+            t0 = time.perf_counter()
+            batch = synthesize_batch(spec)
+            t1 = time.perf_counter()
+            part = SurveyAggregate.from_batch(batch)
+            t2 = time.perf_counter()
+            agg = agg.merge(part)
+            t3 = time.perf_counter()
+            totals["synthesize"] += t1 - t0
+            totals["reduce"] += t2 - t1
+            totals["merge"] += t3 - t2
+        assert agg.num_programs == n
+        runs.append(totals)
+    return {
+        "n": n,
+        "chunk_size": chunk_size,
+        "repeats": repeats,
+        "ms": {
+            phase: round(statistics.median(r[phase] for r in runs) * 1e3, 3)
+            for phase in ("synthesize", "reduce", "merge")
+        },
+    }
 
 
 def test_bench_survey_scale_sweep():
@@ -141,11 +198,15 @@ def test_bench_survey_scale_sweep():
             "rss_growth_kb": _rss_kb() - rss_before,
         })
 
+    phases = _phases(100_000, chunk_size, seed)
+
     seq_rates = {r["n"]: r["programs_per_sec"] for r in runs
                  if r["mode"] == "sequential"}
     speedup = seq_rates[max(sizes)] / baseline_rate
     payload = {
         "benchmark": "survey_pipeline",
+        "machine": _machine(),
+        "phases": phases,
         "seed": seed,
         "baseline": {
             "path": "object (pre-refactor: 3x CoverageMatrix per program)",
@@ -160,6 +221,7 @@ def test_bench_survey_scale_sweep():
     with open(_BENCH_PATH, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"\n  object-path baseline: {baseline_rate:,.0f} programs/sec")
+    print(f"\n  phases at n=100000 (ms): {phases['ms']}")
+    print(f"  object-path baseline: {baseline_rate:,.0f} programs/sec")
     print(f"  columnar speedup at n={max(sizes)}: {speedup:.1f}x")
     assert speedup >= 5.0, payload

@@ -6,9 +6,9 @@ the ROADMAP's "survey at planetary scale".  This module is the columnar
 half of the refactor:
 
 - :class:`ProgramBatch` encodes *many* programs at once as flat NumPy
-  arrays — one ``(courses × topics)`` depth tensor plus CSR-style program
-  offsets and per-course type/credit/required columns — so every §III
-  statistic is a vectorized reduction instead of a Python loop.
+  arrays — one ``(courses × topics)`` int8 depth tensor plus CSR-style
+  program offsets and per-course type/credit/required columns — so every
+  §III statistic is a vectorized reduction instead of a Python loop.
 - :class:`SurveyAggregate` holds the partial sums behind Fig. 2 (topic
   program counts, weighted topic sums) and Fig. 3 (PDC course counts by
   course type).  Aggregates obey a **merge law**: ``merge`` is
@@ -17,12 +17,17 @@ half of the refactor:
   shard) and combined in any grouping — the property the streaming
   driver in :mod:`repro.core.pipeline` is built on.
 
+The reduction works on the integer depths directly: per-program coverage
+is one segmented OR (``np.logical_or.reduceat``) over the starts of the
+non-empty programs, and weighted topic sums are integer sums cast to
+float64 once, at the end.
+
 Equivalence invariant (test-enforced): for any program list,
 ``SurveyAggregate.from_batch(ProgramBatch.from_programs(ps)).to_analysis()``
 equals the legacy object-path :class:`~repro.core.survey.SurveyAnalysis`
-— exactly for all counts, and exactly in practice for the weighted sums
-too, because depth weights are small integers whose float64 sums are
-order-independent.
+— exactly, because every sum is over small integers: the weighted sums
+are accumulated in int64 and stay integer-valued float64 after the cast,
+so merging them in any order is exact too.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class ProgramBatch:
     path's "required courses are accreditation's unit of analysis".
     """
 
-    depth: np.ndarray  # (C, len(PdcTopic)) float64
+    depth: np.ndarray  # (C, len(PdcTopic)) int8, Depth values 0..3
     program_offsets: np.ndarray  # (P + 1,) int64
     course_type: np.ndarray  # (C,) int16, index into list(CourseType)
     credits: np.ndarray  # (C,) float64
@@ -99,7 +104,7 @@ class ProgramBatch:
     def empty(cls) -> "ProgramBatch":
         """The zero-program batch."""
         return cls(
-            depth=np.zeros((0, len(_TOPICS))),
+            depth=np.zeros((0, len(_TOPICS)), dtype=np.int8),
             program_offsets=np.zeros(1, dtype=np.int64),
             course_type=np.zeros(0, dtype=np.int16),
             credits=np.zeros(0),
@@ -111,7 +116,7 @@ class ProgramBatch:
         """Encode object programs columnar — one pass, no per-statistic
         matrix rebuilds."""
         n_courses = sum(len(p.courses) for p in programs)
-        depth = np.zeros((n_courses, len(_TOPICS)))
+        depth = np.zeros((n_courses, len(_TOPICS)), dtype=np.int8)
         offsets = np.zeros(len(programs) + 1, dtype=np.int64)
         ctype = np.zeros(n_courses, dtype=np.int16)
         credits = np.zeros(n_courses)
@@ -123,19 +128,10 @@ class ProgramBatch:
                 credits[row] = course.credits
                 required[row] = course.required
                 for cov in course.coverage:
-                    depth[row, _TOPIC_POS[cov.topic]] = float(int(cov.depth))
+                    depth[row, _TOPIC_POS[cov.topic]] = int(cov.depth)
                 row += 1
             offsets[p + 1] = row
         return cls(depth, offsets, ctype, credits, required)
-
-    def _per_program(self, per_course: np.ndarray) -> np.ndarray:
-        """Segmented per-program sums of a per-course array (axis 0),
-        robust to empty programs (where ``reduceat`` is not)."""
-        cum = np.concatenate(
-            [np.zeros((1,) + per_course.shape[1:], dtype=np.int64),
-             np.cumsum(per_course, axis=0, dtype=np.int64)]
-        )
-        return cum[self.program_offsets[1:]] - cum[self.program_offsets[:-1]]
 
 
 def batch_programs(
@@ -191,18 +187,30 @@ class SurveyAggregate:
     @classmethod
     def from_batch(cls, batch: ProgramBatch) -> "SurveyAggregate":
         """Single-pass vectorized aggregation of one columnar batch."""
-        eff = batch.depth * batch.required[:, None]  # electives masked out
-        covered = eff > 0
-        per_program = batch._per_program(covered)  # (P, T) covering courses
-        pdc_course = batch.required & covered.any(axis=1)
-        dedicated = batch.required & (batch.course_type == _DEDICATED_POS)
+        depth, required = batch.depth, batch.required
+        offsets = batch.program_offsets
+        covered = depth > 0
+        if not required.all():  # electives are masked out
+            covered &= required[:, None]
+            depth = depth[required]
+        # Segments are contiguous, so an empty program is a zero-length
+        # segment: dropping its start leaves every other segment intact
+        # (reduceat would otherwise read one row of the next program).
+        starts = offsets[:-1][offsets[1:] > offsets[:-1]]
+        per_program = np.logical_or.reduceat(covered, starts, axis=0)
+        # einsum runs these reductions over 14-wide rows about twice as
+        # fast as ndarray.any/sum; over bools its sum is a logical OR.
+        pdc_course = np.einsum("ct->c", covered)
+        weights = np.einsum("ct->t", depth, dtype=np.int64)
+        dedicated_rows = np.flatnonzero(
+            required & (batch.course_type == _DEDICATED_POS)
+        )
+        owners = np.searchsorted(offsets, dedicated_rows, side="right")
         return cls(
             num_programs=batch.num_programs,
-            dedicated_programs=int(
-                (batch._per_program(dedicated[:, None]) > 0).sum()
-            ),
-            topic_weights=eff.sum(axis=0),
-            topic_counts=(per_program > 0).sum(axis=0, dtype=np.int64),
+            dedicated_programs=len(np.unique(owners)),
+            topic_weights=weights.astype(np.float64),
+            topic_counts=per_program.sum(axis=0, dtype=np.int64),
             course_type_counts=np.bincount(
                 batch.course_type[pdc_course], minlength=len(_CTYPES)
             ).astype(np.int64),

@@ -105,8 +105,10 @@ def weighted_topic_scores(
     one vectorized reduction.
     """
     batch = ProgramBatch.from_programs(programs)
-    eff = batch.depth * batch.required[:, None]
-    totals = eff.sum(axis=0) if weighted else (eff > 0).sum(axis=0)
+    depth = batch.depth
+    if not batch.required.all():  # electives are masked out
+        depth = depth[batch.required]
+    totals = (depth if weighted else depth > 0).sum(axis=0, dtype=np.int64)
     return {t: float(totals[i]) for i, t in enumerate(_TOPICS)}
 
 

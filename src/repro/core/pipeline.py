@@ -62,7 +62,9 @@ _INTRO_SLOTS = np.array(
     ]
 )
 _INTRO_TOPICS = {PdcTopic.THREADS, PdcTopic.CLIENT_SERVER}
-_DEPTH_CHOICES = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
+#: Depth lookup for ``rng.integers(0, 5)`` draws; int8, so the depth
+#: tensor is int8 while the draw itself keeps its int64 stream.
+_DEPTH_CHOICES = np.array([1, 1, 2, 2, 3], dtype=np.int8)
 _DEDICATED_TYPE = np.int16(_CTYPE_POS[CourseType.PARALLEL_PROGRAMMING])
 
 #: P[s, t]: probability that skeleton slot ``s`` covers topic ``t`` —
@@ -78,9 +80,9 @@ for _s, (_ctype, _, _, _, _) in enumerate(_SKELETON):
             p = p if _topic in _INTRO_TOPICS else 0.0
         _P_MATRIX[_s, _pos] = p
 
-_DEDICATED_ROW = np.zeros(_N_TOPICS)
+_DEDICATED_ROW = np.zeros(_N_TOPICS, dtype=np.int8)
 for _topic in _DEDICATED_TOPICS:
-    _DEDICATED_ROW[_TOPIC_POS[_topic]] = 3.0
+    _DEDICATED_ROW[_TOPIC_POS[_topic]] = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,8 +126,9 @@ def synthesize_batch(spec: ChunkSpec) -> ProgramBatch:
     incidence = rng.random((k, _N_SLOTS, _N_TOPICS)) < _P_MATRIX
     gate = rng.random((k, len(_INTRO_SLOTS))) < 0.5
     incidence[:, _INTRO_SLOTS, :] &= gate[:, :, None]
-    depth_draw = _DEPTH_CHOICES[rng.integers(0, 5, size=(k, _N_SLOTS, _N_TOPICS))]
-    depth = np.where(incidence, depth_draw, 0.0).reshape(k * _N_SLOTS, _N_TOPICS)
+    depth = _DEPTH_CHOICES[rng.integers(0, 5, size=(k, _N_SLOTS, _N_TOPICS))]
+    depth *= incidence  # in place: uncovered (slot, topic) pairs drop to 0
+    depth = depth.reshape(k * _N_SLOTS, _N_TOPICS)
 
     course_type = np.tile(_SLOT_TYPES, k)
     credits = np.tile(_SLOT_CREDITS, k)

@@ -3,9 +3,11 @@
 The legacy object path (per-program :class:`CoverageMatrix` loops) is
 reimplemented here verbatim as the *reference*; the shipped
 ``analyze_survey`` now runs on :mod:`repro.core.batch` and must match it
-exactly — counts are integers and depth weights are small integers whose
-float64 sums are order-independent, so equality is exact, not
-approximate.
+exactly — counts are integers and the batch stores depth weights as int8
+and sums them as integers, so equality is exact, not approximate.  A
+generated-batch property test checks the columnar reduction against a
+plain-Python per-program oracle on raw batches the survey generator
+never makes (empty programs anywhere, electives, several dedicated rows).
 """
 
 import hashlib
@@ -13,16 +15,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import ProgramBatch, SurveyAggregate, batch_programs
 from repro.core.course import Course, Coverage, Depth
-from repro.core.coverage import CoverageMatrix
+from repro.core.coverage import CoverageMatrix, weighted_topic_scores
 from repro.core.program import Program
 from repro.core.survey import SurveyAnalysis, analyze_survey, generate_survey
 from repro.core.taxonomy import CourseType, PdcTopic
 from repro.runtime import RunContext
 
 _TOPICS = list(PdcTopic)
+_CTYPES = list(CourseType)
+_DEDICATED = _CTYPES.index(CourseType.PARALLEL_PROGRAMMING)
 
 
 def reference_analysis(programs) -> SurveyAnalysis:
@@ -132,6 +138,20 @@ class TestEquivalenceInvariant:
         programs = case_study_programs()
         assert analyze_survey(programs) == reference_analysis(programs)
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_weighted_topic_scores_match_object_path(self, weighted):
+        """Fig. 2's scores, electives included, equal the sums of the
+        per-program CoverageMatrix (required courses only)."""
+        programs = generate_survey(n=20, seed=3, dedicated_index=0)
+        programs += [_mixed_program(), Program("E", "E", courses=[])]
+        totals = np.zeros(len(_TOPICS))
+        for program in programs:
+            matrix = CoverageMatrix.of(program).matrix
+            totals += (matrix if weighted else matrix > 0).sum(axis=1)
+        assert weighted_topic_scores(programs, weighted) == {
+            t: float(totals[i]) for i, t in enumerate(_TOPICS)
+        }
+
 
 class TestMergeLaw:
     def test_identity(self):
@@ -167,6 +187,88 @@ class TestMergeLaw:
     def test_empty_batch_merge(self):
         agg = SurveyAggregate.of_programs([_mixed_program()])
         assert agg.merge(SurveyAggregate.from_batch(ProgramBatch.empty())) == agg
+
+
+# -- generated raw batches ---------------------------------------------------
+
+#: One course row: (depth per topic, course-type index, required).
+#: Dedicated-type rows are drawn often, so programs with several of them
+#: and dedicated-type electives both come up.
+_rows = st.tuples(
+    st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]),
+             min_size=len(_TOPICS), max_size=len(_TOPICS)),
+    st.one_of(st.just(_DEDICATED), st.integers(0, len(_CTYPES) - 1)),
+    st.booleans(),
+)
+#: A batch as a list of programs, each a (possibly empty) list of rows.
+_programs = st.lists(st.lists(_rows, max_size=4), max_size=8)
+
+_DED_REQ = ([3] * len(_TOPICS), _DEDICATED, True)
+_DED_ELECTIVE = ([2] * len(_TOPICS), _DEDICATED, False)
+_PLAIN = ([1] + [0] * (len(_TOPICS) - 1), 0, True)
+
+
+def _raw_batch(programs) -> ProgramBatch:
+    rows = [row for program in programs for row in program]
+    return ProgramBatch(
+        depth=np.array([r[0] for r in rows], dtype=np.int8).reshape(
+            len(rows), len(_TOPICS)
+        ),
+        program_offsets=np.cumsum(
+            [0] + [len(program) for program in programs], dtype=np.int64
+        ),
+        course_type=np.array([r[1] for r in rows], dtype=np.int16),
+        credits=np.full(len(rows), 3.0),
+        required=np.array([r[2] for r in rows], dtype=bool),
+    )
+
+
+def _oracle(programs) -> SurveyAggregate:
+    """Per-program Python loops over the same rows, no NumPy reductions."""
+    weights = [0] * len(_TOPICS)
+    counts = [0] * len(_TOPICS)
+    types = [0] * len(_CTYPES)
+    dedicated = 0
+    for program in programs:
+        required = [(depth, ct) for depth, ct, req in program if req]
+        dedicated += any(ct == _DEDICATED for _, ct in required)
+        for t in range(len(_TOPICS)):
+            weights[t] += sum(depth[t] for depth, _ in required)
+            counts[t] += any(depth[t] > 0 for depth, _ in required)
+        for depth, ct in required:
+            types[ct] += any(d > 0 for d in depth)
+    return SurveyAggregate(
+        num_programs=len(programs),
+        dedicated_programs=dedicated,
+        topic_weights=np.array(weights, dtype=np.float64),
+        topic_counts=np.array(counts, dtype=np.int64),
+        course_type_counts=np.array(types, dtype=np.int64),
+    )
+
+
+class TestGeneratedBatches:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(programs=_programs)
+    @example(programs=[])
+    @example(programs=[[], [], [_PLAIN], [], [], [_PLAIN, _DED_REQ], [], []])
+    @example(programs=[[_DED_REQ, _PLAIN, _DED_REQ], [_DED_ELECTIVE], []])
+    @example(programs=[[_DED_ELECTIVE, _PLAIN], [], [_DED_REQ, _DED_REQ]])
+    def test_from_batch_matches_oracle_at_every_split(self, programs):
+        """from_batch equals the per-program oracle, and splitting the
+        batch at any program boundary then merging changes nothing."""
+        whole = SurveyAggregate.from_batch(_raw_batch(programs))
+        assert whole == _oracle(programs)
+        assert whole.topic_weights.dtype == np.float64
+        for cut in range(len(programs) + 1):
+            left = SurveyAggregate.from_batch(_raw_batch(programs[:cut]))
+            right = SurveyAggregate.from_batch(_raw_batch(programs[cut:]))
+            assert left.merge(right) == whole
+
+    def test_constructors_agree_on_int8_depth(self):
+        assert ProgramBatch.empty().depth.dtype == np.int8
+        batch = ProgramBatch.from_programs([_mixed_program()])
+        assert batch.depth.dtype == np.int8
+        assert sorted(set(batch.depth.ravel())) == [0, 1, 3]
 
 
 def _survey_digest(programs) -> str:

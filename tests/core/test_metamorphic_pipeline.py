@@ -6,9 +6,10 @@ chunk *grid*, not of how the grid is executed.  These tests state that
 as metamorphic relations — transformations of the execution plan that
 must leave ``SurveyAggregate.to_analysis()`` **bit-identical**:
 
-- permuting the order chunk aggregates are merged in (the sums are
-  integer-valued float64, so floating-point addition is exact and the
-  fold really is commutative *to the bit*, not just approximately);
+- permuting the order chunk aggregates are merged in (each chunk sums
+  its int8 depths as integers, so the float64 partial sums are
+  integer-valued, floating-point addition of them is exact and the fold
+  really is commutative *to the bit*, not just approximately);
 - re-associating the fold (left fold vs pairwise tree);
 - re-sharding the same grid across 1, 2, or 5 workers, on both the
   ``mp`` rank-thread backend and a real process pool, against the
